@@ -254,9 +254,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_kind(p, choices=(KIND_CONVENTIONAL, KIND_RELAXED)):
         p.add_argument("--kind", required=True, choices=list(choices))
 
-    def add_common_argument_flags(p):
+    def add_p(p):
         p.add_argument("--p", type=_p_flag, default=Fraction(0),
                        help="bound on the last condition (relaxed kind only), e.g. 1/10")
+
+    def add_common_argument_flags(p):
+        add_p(p)
         p.add_argument("--exhaustive-perms", action="store_true",
                        help="search every outcome permutation instead of shifts and reversals")
 
@@ -264,8 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_kind(p_opt)
     p_opt.add_argument("--dims", required=True, type=_dims_flag,
                        help="outcome counts a0,a1,b0,b1 (e.g. 3,3,3,3)")
-    p_opt.add_argument("--p", type=_p_flag, default=Fraction(0),
-                       help="bound on the last condition (relaxed kind only), e.g. 1/10")
+    add_p(p_opt)
     p_opt.add_argument("--regime", choices=["ns", "lhv"], default="ns")
     p_opt.set_defaults(func=cmd_optimize)
 

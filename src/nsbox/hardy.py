@@ -283,7 +283,7 @@ def ns_program(arg: HardyArgument) -> LinearProgram:
             ineq.append((row, p))
         else:
             eq.append((row, _ZERO))
-    return LinearProgram(n, objective, eq, ineq, nonneg=True)
+    return LinearProgram(n, objective, eq, ineq)
 
 
 def max_success_ns(arg: HardyArgument) -> OptimizationReport:
@@ -537,8 +537,7 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
 
     family = []
     claimed: set = set()
-    for cells, mass, payload in picked:
-        arg = payload if isinstance(payload, HardyArgument) else payload
+    for cells, mass, arg in picked:
         check = evaluate_pp(box, arg)
         if check != mass or not claimed.isdisjoint(cells):
             raise RuntimeError("internal error: inconsistent packing member")

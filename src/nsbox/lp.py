@@ -1,11 +1,13 @@
 """Exact linear programming over the rationals.
 
-A two-phase primal simplex on a dense tableau of ``fractions.Fraction``
-entries. Bland's pivoting rule is used in both phases, so degenerate programs
-terminate without cycling. There is no floating-point code path: coefficients
-are validated to be exact (ints, Fractions, or rational strings) and every
-result is an exact rational. Optimal solutions are basic feasible solutions,
-i.e. vertices of the feasible region.
+An exact presolve (variables forced to zero, empty and duplicate rows
+dropped) followed by a two-phase primal simplex on a tableau of
+``fractions.Fraction`` entries. Each pivot touches only the columns where the
+pivot row is nonzero. Bland's pivoting rule is used in both phases, so
+degenerate programs terminate without cycling. There is no floating-point
+code path: coefficients are validated to be exact (ints, Fractions, or
+rational strings) and every result is an exact rational. Optimal solutions are
+basic feasible solutions, i.e. vertices of the feasible region.
 
 Programs have the fixed shape
 
@@ -77,14 +79,11 @@ class LinearProgram:
     objective: Sequence
     eq_constraints: Sequence = ()
     ineq_constraints: Sequence = ()
-    nonneg: bool = True
 
     def canonical(self) -> tuple[list[Fraction], list, list]:
         """Validate and return (objective, eq rows, ineq rows) as Fractions."""
         if not isinstance(self.num_vars, int) or isinstance(self.num_vars, bool) or self.num_vars < 0:
             raise LpValidationError(f"num_vars must be a nonnegative integer, got {self.num_vars!r}")
-        if not self.nonneg:
-            raise LpValidationError("only nonneg=True programs are supported here")
         objective = [as_exact(v) for v in self.objective]
         if len(objective) != self.num_vars:
             raise LpValidationError(
@@ -133,8 +132,25 @@ class LpResult:
     solution: Optional[tuple[Fraction, ...]] = None
 
 
+def _nonzeros(row: list[Fraction]) -> list[tuple[int, Fraction]]:
+    """The (index, value) pairs of a row's nonzero entries."""
+    return [(j, v) for j, v in enumerate(row) if v]
+
+
+def _eliminate(target: list[Fraction], col: int, nonzero) -> None:
+    """Subtract target[col] times a pivot row, given as its (j, value)
+    nonzeros, from target in place; the pivot row's zeros cost nothing."""
+    f = target[col]
+    if f:
+        for j, v in nonzero:
+            target[j] -= f * v
+
+
 class _Simplex:
-    """Dense exact tableau. Columns: real variables, slacks, [artificials], rhs."""
+    """Exact tableau with sparse-row pivots.
+
+    Rows are stored in full; a pivot subtracts only the pivot row's nonzero
+    columns. Columns: real variables, slacks, [artificials], rhs."""
 
     def __init__(self, num_vars: int, eq, ineq):
         self.n = num_vars
@@ -163,16 +179,12 @@ class _Simplex:
         if piv != 1:
             row = [v / piv for v in row]
             self.rows[r] = row
+        nonzero = _nonzeros(row)
         for i, other in enumerate(self.rows):
-            if i == r:
-                continue
-            f = other[col]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(other, row)]
+            if i != r:
+                _eliminate(other, col, nonzero)
         if obj is not None:
-            f = obj[col]
-            if f:
-                obj[:] = [a - f * b for a, b in zip(obj, row)]
+            _eliminate(obj, col, nonzero)
         self.basis[r] = col
 
     def _bland(self, obj: list[Fraction]) -> bool:
@@ -258,10 +270,8 @@ class _Simplex:
     def phase_two(self, objective: list[Fraction]) -> bool:
         obj = list(objective) + [_ZERO] * (self.width - self.n) + [_ZERO]
         for i, bcol in enumerate(self.basis):
-            f = obj[bcol]
-            if f:
-                row = self.rows[i]
-                obj[:] = [a - f * b for a, b in zip(obj, row)]
+            if obj[bcol]:
+                _eliminate(obj, bcol, _nonzeros(self.rows[i]))
         return self._bland(obj)
 
     def solution(self) -> list[Fraction]:
@@ -272,17 +282,94 @@ class _Simplex:
         return x
 
 
+def _presolve(num_vars: int, eq, ineq):
+    """Exact reductions that keep the feasible set and every vertex.
+
+    Returns (keep, eq, ineq): the surviving variable indices in their original
+    order (so Bland's rule ranks them as before) and the rows restricted to
+    them, or None when the program is infeasible on its face.
+
+    - An equality with rhs 0 whose live coefficients share one sign forces
+      those variables to 0 under x >= 0. Forcing some variables can leave a
+      mixed-sign row (a no-signaling row) one-signed, so this runs to a
+      fixpoint.
+    - Rows left empty are dropped; an empty equality with rhs != 0 or an empty
+      <= row with rhs < 0 is infeasible.
+    - An equality that repeats or negates an earlier one is dropped.
+    """
+    eq = [(_nonzeros(coeffs), rhs) for coeffs, rhs in eq]
+    forced = [False] * num_vars
+    changed = True
+    while changed:
+        changed = False
+        for nonzero, rhs in eq:
+            if rhs:
+                continue
+            unforced = [(j, c) for j, c in nonzero if not forced[j]]
+            if unforced and (all(c > 0 for _, c in unforced) or all(c < 0 for _, c in unforced)):
+                for j, _ in unforced:
+                    forced[j] = True
+                changed = True
+    keep = [j for j in range(num_vars) if not forced[j]]
+    column = {j: k for k, j in enumerate(keep)}
+
+    def restrict(nonzero) -> tuple:
+        return tuple((column[j], c) for j, c in nonzero if not forced[j])
+
+    def dense(pairs) -> list[Fraction]:
+        row = [_ZERO] * len(keep)
+        for k, c in pairs:
+            row[k] = c
+        return row
+
+    reduced_eq = []
+    seen = set()
+    for nonzero, rhs in eq:
+        pairs = restrict(nonzero)
+        if not pairs:
+            if rhs:
+                return None
+            continue
+        # one key for a row and its negation
+        key = (pairs, rhs) if pairs[0][1] > 0 else (tuple((k, -c) for k, c in pairs), -rhs)
+        if key not in seen:
+            seen.add(key)
+            reduced_eq.append((dense(pairs), rhs))
+    reduced_ineq = []
+    for coeffs, rhs in ineq:
+        pairs = restrict(_nonzeros(coeffs))
+        if pairs:
+            reduced_ineq.append((dense(pairs), rhs))
+        elif rhs < 0:
+            return None
+    return keep, reduced_eq, reduced_ineq
+
+
+def _phase_one(lp: LinearProgram):
+    """Validate, presolve and run phase one. Returns (objective, keep,
+    tableau) at a basic feasible solution, or None when infeasible."""
+    objective, eq, ineq = lp.canonical()
+    reduced = _presolve(lp.num_vars, eq, ineq)
+    if reduced is None:
+        return None
+    keep, eq, ineq = reduced
+    tab = _Simplex(len(keep), eq, ineq)
+    return (objective, keep, tab) if tab.phase_one() else None
+
+
 def solve_max(lp: LinearProgram) -> LpResult:
     """Maximize exactly. OPTIMAL results carry an exact value and a vertex
     solution; the value is recomputed as objective . solution, so it satisfies
     the program by substitution."""
-    objective, eq, ineq = lp.canonical()
-    tab = _Simplex(lp.num_vars, eq, ineq)
-    if not tab.phase_one():
+    started = _phase_one(lp)
+    if started is None:
         return LpResult(LpStatus.INFEASIBLE)
-    if not tab.phase_two(objective):
+    objective, keep, tab = started
+    if not tab.phase_two([objective[j] for j in keep]):
         return LpResult(LpStatus.UNBOUNDED)
-    x = tab.solution()
+    x = [_ZERO] * lp.num_vars
+    for j, v in zip(keep, tab.solution()):
+        x[j] = v
     value = _ZERO
     for c, v in zip(objective, x):
         if c and v:
@@ -292,8 +379,7 @@ def solve_max(lp: LinearProgram) -> LpResult:
 
 def check_feasible(lp: LinearProgram) -> bool:
     """True iff the constraint set admits any point (phase one only)."""
-    _, eq, ineq = lp.canonical()
-    return _Simplex(lp.num_vars, eq, ineq).phase_one()
+    return _phase_one(lp) is not None
 
 
 def feasible_above(lp: LinearProgram, bound) -> bool:

@@ -160,7 +160,7 @@ def _mixture_lp(columns: Sequence[JointBox], target: JointBox) -> LinearProgram:
     for i in range(target.scenario.num_coords):
         eq.append(([col.table[i] for col in columns], target.table[i]))
     eq.append(([_ONE] * n, _ONE))
-    return LinearProgram(n, [_ZERO] * n, eq, [], nonneg=True)
+    return LinearProgram(n, [_ZERO] * n, eq, [])
 
 
 def convex_decomposition(box: JointBox, candidates: Sequence[JointBox]) -> Optional[tuple[Fraction, ...]]:

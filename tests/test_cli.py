@@ -1,5 +1,6 @@
 """End-to-end command-line tests (in-process, via main's argv parameter)."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -59,6 +60,28 @@ def test_optimize_with_bound(capsys):
     payload = json.loads(out)
     assert payload["argument"]["p"] == "1/10"
     assert F(*map(int, payload["optimum"].split("/"))) >= F(2, 3)
+
+
+# stdout sha256 of `nsbox optimize --kind K --dims d,d,d,d`, recorded from the
+# dense-tableau solver before the presolve and sparse pivots: the witness box
+# is the vertex Bland's rule reaches, so these pin the pivot path as well.
+GOLDEN_OPTIMIZE = [
+    ("conventional", 2, "e86740029d0eba7f201f1383ce2791b592087584d0d46f4585fd83457a57c470"),
+    ("conventional", 3, "4282de644469a13bdef92680e5a3696dea925fca64d3e89b54be6a32cf66bd5b"),
+    ("conventional", 4, "f5e9c627fc000e1d3930d56c53c8b1640c66f216b8f10e583a478cb41ea5ac49"),
+    ("conventional", 5, "0ce5f780dcff427eb158adc1fae74e848e63f10fe1b918ab5c8a3df85e9d7c05"),
+    ("relaxed", 2, "82cf65b0ab91e99f3e413e7311839ac76a9db952e24543a2055fe1b32aefcaa1"),
+    ("relaxed", 3, "e6541ce79d9f6597403ddcc2a13b1b35f42c0b9f31115d385c4521135559181d"),
+    ("relaxed", 4, "2ff815b438c0ded7edef5e7ec415ef95b5406e98c3dea4008561b8fc3dc4fad7"),
+    ("relaxed", 5, "7cc7de160025fbec5692b51f9f523ffb43f1d1ede4ee649c46708cb866d60a74"),
+]
+
+
+@pytest.mark.parametrize("kind,d,digest", GOLDEN_OPTIMIZE)
+def test_optimize_output_is_byte_identical_to_golden(capsys, kind, d, digest):
+    code, out, _ = run(capsys, "optimize", "--kind", kind, "--dims", f"{d},{d},{d},{d}")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_optimize_usage_errors(capsys):

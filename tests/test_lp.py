@@ -24,6 +24,7 @@ from nsbox import (
     feasible_above,
     solve_max,
 )
+from nsbox.lp import _presolve
 
 F = Fraction
 
@@ -106,8 +107,9 @@ def test_shape_validation():
         solve_max(LinearProgram(2, [1, 0], [([1], 1)], []))
     with pytest.raises(LpValidationError):
         solve_max(LinearProgram(-1, []))
-    with pytest.raises(LpValidationError):
-        solve_max(LinearProgram(1, [1], nonneg=False))
+    # x >= 0 is the only shape, so there is no nonneg switch to turn off
+    with pytest.raises(TypeError):
+        LinearProgram(1, [1], nonneg=False)
 
 
 def test_validation_error_is_not_a_status():
@@ -132,6 +134,57 @@ def test_duality_spot_check_helper():
     assert res.status is LpStatus.OPTIMAL
     assert feasible_above(lp, res.value)
     assert not feasible_above(lp, res.value + F(1, 1000))
+
+
+def test_presolve_forces_zeros_through_mixed_sign_row():
+    # -x1 + x2 = 0 is mixed-signed until x0 + x1 = 0 forces x1, then it forces x2
+    eq = [([0, -1, 1, 0], 0), ([1, 1, 0, 0], 0)]
+    ineq = [([0, 0, 0, 1], 2)]
+    keep, red_eq, red_ineq = _presolve(4, [(list(map(F, r)), F(b)) for r, b in eq],
+                                       [(list(map(F, r)), F(b)) for r, b in ineq])
+    assert keep == [3] and red_eq == [] and red_ineq == [([F(1)], F(2))]
+    res = solve_max(LinearProgram(4, [1, 1, 1, 1], eq, ineq))
+    assert res.status is LpStatus.OPTIMAL and res.value == 2
+    assert res.solution == (0, 0, 0, 2)
+
+
+def test_presolve_empty_rows_decide_infeasibility():
+    empty_eq = LinearProgram(2, [1, 0], [([0, 0], 1)], [([1, 1], 1)])
+    # x0 = 0 is forced, which leaves x0 = 1 an empty row with rhs 1
+    emptied_eq = LinearProgram(2, [0, 1], [([1, 0], 0), ([1, 0], 1)], [([0, 1], 1)])
+    empty_ineq = LinearProgram(2, [1, 1], [], [([0, 0], -1), ([1, 1], 1)])
+    for lp in (empty_eq, emptied_eq, empty_ineq):
+        assert solve_max(lp).status is LpStatus.INFEASIBLE
+        assert not check_feasible(lp)
+    # an empty <= row with rhs >= 0 is just dropped
+    res = solve_max(LinearProgram(1, [1], [], [([0], 0), ([1], 1)]))
+    assert res.status is LpStatus.OPTIMAL and res.value == 1
+
+
+def test_presolve_drops_repeated_and_negated_equalities():
+    eq = [([F(1), F(-1)], F(1)), ([F(-1), F(1)], F(-1)), ([F(1), F(-1)], F(1)),
+          ([F(1), F(1)], F(3))]
+    keep, red_eq, _ = _presolve(2, eq, [])
+    assert keep == [0, 1]
+    assert red_eq == [([F(1), F(-1)], F(1)), ([F(1), F(1)], F(3))]
+    res = solve_max(LinearProgram(2, [0, 1], eq, []))
+    assert res.status is LpStatus.OPTIMAL and res.solution == (2, 1)
+
+
+def test_feasibility_helpers_agree_with_solve_max():
+    programs = [
+        LinearProgram(4, [1, 1, 1, 1], [([0, -1, 1, 0], 0), ([1, 1, 0, 0], 0)],
+                      [([0, 0, 0, 1], 2)]),
+        LinearProgram(2, [0, 1], [([1, -1], 1), ([-1, 1], -1)], [([1, 1], 5)]),
+        LinearProgram(2, [0, 1], [([1, 0], 0), ([1, 0], 1)], [([0, 1], 1)]),
+        LinearProgram(3, [1, 2, 3], [([1, 1, 1], 1), ([0, 1, -1], 0)], []),
+    ]
+    for lp in programs:
+        res = solve_max(lp)
+        assert check_feasible(lp) == (res.status is LpStatus.OPTIMAL)
+        if res.status is LpStatus.OPTIMAL:
+            assert feasible_above(lp, res.value)
+            assert not feasible_above(lp, res.value + F(1, 1000))
 
 
 def test_to_json_dict_wire_format():
@@ -220,6 +273,12 @@ def _program_strategy(draw):
     ineq = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         ineq.append(([Fraction(draw(_coeff)) for _ in range(n)], Fraction(draw(_coeff))))
+    if draw(st.booleans()):  # one-signed rhs-0 row: the presolve forces zeros
+        sign = draw(st.sampled_from([1, -1]))
+        eq.append(([Fraction(sign * draw(st.integers(0, 2))) for _ in range(n)], Fraction(0)))
+    if eq and draw(st.booleans()):  # negated copy: the presolve drops it
+        row, rhs = eq[draw(st.integers(0, len(eq) - 1))]
+        eq.append(([-c for c in row], -rhs))
     for i in range(n):  # box bounds keep the region bounded and pointed
         unit = [Fraction(0)] * n
         unit[i] = Fraction(1)
@@ -235,6 +294,7 @@ def test_random_programs_match_brute_force(data):
     res = solve_max(lp)
     oracle = _brute_force_max(n, objective, eq, ineq)
 
+    assert check_feasible(lp) == (oracle is not None)
     if oracle is None:
         assert res.status is LpStatus.INFEASIBLE
         return
