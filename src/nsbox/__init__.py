@@ -52,6 +52,7 @@ from .vertices import (
 from .hardy import (
     KIND_CONVENTIONAL,
     KIND_RELAXED,
+    MAX_PERMUTATION_FAMILY,
     REGIME_LHV,
     REGIME_NS,
     ArgumentEvents,
@@ -61,6 +62,7 @@ from .hardy import (
     PnResult,
     QuantumReference,
     Relabeling,
+    SearchBudgetExceeded,
     argument_events,
     attaining_nonlocal_vertex,
     best_satisfied_argument,
@@ -71,6 +73,7 @@ from .hardy import (
     max_success_lhv,
     max_success_ns,
     ns_program,
+    permutation_family_size,
     ppc,
     quantum_reference,
 )

@@ -30,6 +30,7 @@ from .hardy import (
     KIND_CONVENTIONAL,
     KIND_RELAXED,
     OptimizationReport,
+    SearchBudgetExceeded,
     attaining_nonlocal_vertex,
     best_satisfied_argument,
     build_argument,
@@ -198,8 +199,13 @@ def cmd_verify(args) -> int:
         for label in report.violations:
             print(f"violated: {label}")
         return 1
+    try:
+        best = best_satisfied_argument(box, args.kind, args.p, args.exhaustive_perms)
+        pn = None if best is None else compute_pn(box, best[0], args.exhaustive_perms).pn
+    except SearchBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"kind: {args.kind}")
-    best = best_satisfied_argument(box, args.kind, args.p, args.exhaustive_perms)
     if best is None:
         identity_arg, _ = build_argument(args.kind, box.scenario, args.p)
         try:
@@ -209,7 +215,6 @@ def cmd_verify(args) -> int:
             return 0
         raise RuntimeError("internal error: identity argument satisfied but not found by search")
     arg, pp = best
-    pn = compute_pn(box, arg, args.exhaustive_perms).pn
     print(f"pp: {format_rational(pp)}")
     print(f"pn: {format_rational(pn)}")
     print(f"ppc: {format_rational(pn - pp)}")
@@ -228,12 +233,16 @@ def cmd_pn(args) -> int:
         for label in report.violations:
             print(f"violated: {label}", file=sys.stderr)
         return 1
-    best = best_satisfied_argument(box, args.kind, args.p, args.exhaustive_perms)
-    if best is None:
-        print(f"error: no satisfied {args.kind} relabeling for this box", file=sys.stderr)
-        return 1
-    arg, pp = best
-    result = compute_pn(box, arg, args.exhaustive_perms)
+    try:
+        best = best_satisfied_argument(box, args.kind, args.p, args.exhaustive_perms)
+        if best is None:
+            print(f"error: no satisfied {args.kind} relabeling for this box", file=sys.stderr)
+            return 1
+        arg, pp = best
+        result = compute_pn(box, arg, args.exhaustive_perms)
+    except SearchBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     payload = {
         "base": _argument_json_dict(arg),
         "pp": format_rational(pp),
@@ -261,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common_argument_flags(p):
         add_p(p)
         p.add_argument("--exhaustive-perms", action="store_true",
-                       help="search every outcome permutation instead of shifts and reversals")
+                       help="search every outcome permutation instead of shifts and reversals "
+                            "(up to 7 outcomes per input)")
 
     p_opt = sub.add_parser("optimize", help="exact optimum of an argument under a regime")
     add_kind(p_opt)

@@ -57,6 +57,8 @@ __all__ = [
     "HardyArgument",
     "ArgumentEvents",
     "ArgumentNotSatisfied",
+    "SearchBudgetExceeded",
+    "MAX_PERMUTATION_FAMILY",
     "OptimizationReport",
     "PnResult",
     "QuantumReference",
@@ -68,6 +70,7 @@ __all__ = [
     "max_success_lhv",
     "evaluate_pp",
     "compute_pn",
+    "permutation_family_size",
     "ppc",
     "best_satisfied_argument",
     "attaining_nonlocal_vertex",
@@ -81,6 +84,10 @@ REGIME_LHV = "local-realistic"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Largest permutation family per input the relabeling search accepts: 7!,
+# every permutation of seven outcomes.
+MAX_PERMUTATION_FAMILY = 5040
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,11 @@ class ArgumentNotSatisfied(Exception):
         self.condition = condition
         self.event = event
         self.amount = amount
+
+
+class SearchBudgetExceeded(ValueError):
+    """A relabeling search refused up front: its permutation family is larger
+    than MAX_PERMUTATION_FAMILY."""
 
 
 @dataclass(frozen=True)
@@ -368,6 +380,97 @@ def _perm_family(n: int, exhaustive: bool) -> tuple[tuple[int, ...], ...]:
     return _dihedral_perms(n)
 
 
+def permutation_family_size(n: int, exhaustive: bool) -> int:
+    """How many permutations the relabeling search tries per input with n
+    outcomes: n! with exhaustive, else the distinct shifts and reversals."""
+    return math.factorial(n) if exhaustive else len(_dihedral_perms(n))
+
+
+def _check_search_budget(scenario: Scenario, exhaustive: bool) -> None:
+    n = max(scenario.alice + scenario.bob)
+    size = permutation_family_size(n, exhaustive)
+    if size > MAX_PERMUTATION_FAMILY:
+        raise SearchBudgetExceeded(
+            f"the relabeling search over {n} outcomes needs a family of {size} "
+            f"permutations per input, over the budget of {MAX_PERMUTATION_FAMILY}")
+
+
+def _prefix_trie(family) -> dict:
+    """The family's members as nested {outcome: subtrie} dicts, one level per
+    rank, children in increasing outcome order; the last level maps to the
+    member's index in the family."""
+    root: dict = {}
+    for index, perm in sorted(enumerate(family), key=lambda item: item[1]):
+        node = root
+        for outcome in perm[:-1]:
+            node = node.setdefault(outcome, {})
+        node[perm[-1]] = index
+    return root
+
+
+def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> dict:
+    """{left index: ascending right indices} of the permutation pairs whose
+    relabeled template carries at most bound on the block (no mass at all
+    when bound is 0); left indices without such a pair are left out.
+
+    For each left permutation, a depth-first search assigns the right one
+    rank by rank along prefixes of the right family's members. Only the
+    block's positive cells cost anything: cell (a, b) costs at rank t when
+    (rank of a under the left permutation, t) is a template cell. A branch
+    dies once its cost exceeds the bound, or once an outcome is still
+    unplaced after the last rank where it fits. Masses are nonnegative on a
+    valid box, so costs only grow along a branch; they are scaled to exact
+    integers over a common denominator.
+    """
+    x, y = block
+    s = box.scenario
+    cells = [(a, b, q) for a in range(s.alice[x]) for b in range(s.bob[y])
+             if (q := box.prob(x, y, a, b)) > 0]
+    scale = math.lcm(bound.denominator, *(q.denominator for _a, _b, q in cells))
+    limit = bound.numerator * (scale // bound.denominator)
+    cells = [(a, b, q.numerator * (scale // q.denominator)) for a, b, q in cells]
+    n_left, n_right = len(left[0]), len(right[0])
+    right_ranks = [[] for _ in range(n_left)]
+    for r, t in template:
+        right_ranks[r].append(t)
+    trie = _prefix_trie(right)
+
+    rel: dict[int, list[int]] = {}
+    for ia, pa in enumerate(left):
+        rank = [0] * n_left
+        for r, a in enumerate(pa):
+            rank[a] = r
+        cost = [[0] * n_right for _ in range(n_right)]  # cost[t][b]
+        for a, b, w in cells:
+            for t in right_ranks[rank[a]]:
+                cost[t][b] += w
+        last = [-1] * n_right  # last[b]: the last rank where outcome b fits
+        for t, row in enumerate(cost):
+            for b, c in enumerate(row):
+                if c <= limit:
+                    last[b] = t
+        due = [0] * (n_right + 1)  # due[t]: bits of the outcomes fitting no rank >= t
+        for b, t in enumerate(last):
+            due[t + 1] |= 1 << b
+        hits: list[int] = []
+
+        def search(t, node, placed, total):
+            if t == n_right:
+                hits.append(node)
+                return
+            if due[t] & ~placed:
+                return
+            row = cost[t]
+            for b, child in node.items():
+                if total + row[b] <= limit:
+                    search(t + 1, child, placed | 1 << b, total + row[b])
+
+        search(0, trie, 0, 0)
+        if hits:
+            rel[ia] = sorted(hits)
+    return rel
+
+
 def _rank_templates(kind: str, na0: int, na1: int, nb0: int, nb1: int):
     """Success and zero templates in rank space, keyed by the permutation pair
     they couple: (a1, b0), (a1, b1), (a0, b1), plus the success (a0, b0).
@@ -389,11 +492,17 @@ def _satisfied_chains(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, 
                       exhaustive: bool):
     """All permutation chains whose relabeled argument the box satisfies.
 
+    Each zero (or bounded) condition couples one Alice and one Bob
+    permutation; _relation lists the pairs that satisfy it, so the work
+    follows the satisfied pairs rather than every pair. Refuses, before any
+    search, a family larger than MAX_PERMUTATION_FAMILY.
+
     Returns (family maps, designated block, success template, achievable),
     where achievable maps (index of a0 perm, index of b0 perm) to a witness
     (index of a1 perm, index of b1 perm), deterministically chosen.
     """
     s = box.scenario
+    _check_search_budget(s, exhaustive)
     swap_a, swap_b = swaps
     xs, x1 = (1, 0) if swap_a else (0, 1)
     ys, y1 = (1, 0) if swap_b else (0, 1)
@@ -406,26 +515,9 @@ def _satisfied_chains(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, 
     fam_b0 = _perm_family(nb0, exhaustive)
     fam_b1 = _perm_family(nb1, exhaustive)
 
-    def relation(block, template, fam_left, fam_right, bound):
-        x, y = block
-        rel: dict[int, list[int]] = {}
-        for ia, pa in enumerate(fam_left):
-            hits = []
-            for ib, pb in enumerate(fam_right):
-                if bound > 0:
-                    total = sum((box.prob(x, y, pa[r], pb[t]) for r, t in template), _ZERO)
-                    ok = total <= bound
-                else:
-                    ok = all(box.prob(x, y, pa[r], pb[t]) == 0 for r, t in template)
-                if ok:
-                    hits.append(ib)
-            if hits:
-                rel[ia] = hits
-        return rel
-
-    r_a1b0 = relation((x1, ys), t_a1b0, fam_a1, fam_b0, _ZERO)
-    r_a1b1 = relation((x1, y1), t_a1b1, fam_a1, fam_b1, _ZERO)
-    r_a0b1 = relation((xs, y1), t_a0b1, fam_a0, fam_b1, p)
+    r_a1b0 = _relation(box, (x1, ys), t_a1b0, fam_a1, fam_b0, _ZERO)
+    r_a1b1 = _relation(box, (x1, y1), t_a1b1, fam_a1, fam_b1, _ZERO)
+    r_a0b1 = _relation(box, (xs, y1), t_a0b1, fam_a0, fam_b1, p)
 
     b1_to_a0: dict[int, list[int]] = {}
     for ia0 in sorted(r_a0b1):
@@ -474,9 +566,12 @@ def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool
 def _max_disjoint_mass(entries):
     """Exact maximum-weight packing of pairwise-disjoint cell sets.
 
-    Depth-first search over entries sorted by descending mass, pruned by a
-    suffix-sum bound; ties keep the first optimum found, so the result is
-    deterministic.
+    Depth-first search over entries sorted by descending mass. The bound on
+    a branch is the suffix sum of the masses still to come, capped at 1: the
+    cells lie in one block of a valid box, whose total mass is 1, so no
+    disjoint family can exceed it. Ties keep the first optimum found, so the
+    result is deterministic. Skipped entries are walked in a loop, so the
+    recursion is only as deep as the packing is large.
     """
     order = sorted(range(len(entries)),
                    key=lambda i: (-entries[i][1], sorted(entries[i][0])))
@@ -494,13 +589,12 @@ def _max_disjoint_mass(entries):
         nonlocal best_total, best_pick
         if total > best_total:
             best_total, best_pick = total, tuple(picked)
-        if i == len(order) or total + suffix[i] <= best_total:
-            return
-        if used.isdisjoint(cells[i]):
-            picked.append(i)
-            search(i + 1, used | cells[i], total + masses[i])
-            picked.pop()
-        search(i + 1, used, total)
+        while i < len(order) and min(total + suffix[i], _ONE) > best_total:
+            if used.isdisjoint(cells[i]):
+                picked.append(i)
+                search(i + 1, used | cells[i], total + masses[i])
+                picked.pop()
+            i += 1
 
     search(0, frozenset(), _ZERO)
     return best_total, [entries[order[i]] for i in best_pick]
@@ -512,7 +606,11 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     designated input pair. The base itself competes, so PN >= PP.
 
     The relabeling search runs over cyclic shifts and reversals per input by
-    default; exhaustive_perms widens it to every outcome permutation.
+    default; exhaustive_perms widens it to every outcome permutation, and
+    raises SearchBudgetExceeded before searching when some outcome count has
+    more than MAX_PERMUTATION_FAMILY permutations (more than 7 outcomes).
+    The search prunes on the box's positive cells, so its cost follows the
+    satisfied relabelings, not the (n!)^2 permutation pairs.
     """
     base_pp = evaluate_pp(box, base)
     swaps = (base.relabeling.alice_input_swap, base.relabeling.bob_input_swap)
@@ -555,7 +653,8 @@ def best_satisfied_argument(box: JointBox, kind: str, p=_ZERO,
                             exhaustive_perms: bool = False):
     """The outcome-relabeled argument of the given kind (identity input roles)
     with the largest success mass among those the box satisfies, or None.
-    Ties keep the first candidate in the deterministic search order."""
+    Ties keep the first candidate in the deterministic search order. The
+    search and its budget are those of compute_pn."""
     arg, _ = build_argument(kind, box.scenario, p)  # validates kind and p
     _check_box_for(box, arg)
     candidates, _block = _success_candidates(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nsbox import Scenario, box_to_json, nonlocal_vertex
+from nsbox import JointBox, Scenario, box_to_json, hardy, nonlocal_vertex
 from nsbox.cli import main
 
 F = Fraction
@@ -205,6 +205,51 @@ def test_pn_subcommand_unsatisfied(capsys, tmp_path):
     path.write_text(enc(uniform_box(S.symmetric(2))))
     code, _, err = run(capsys, "pn", str(path), "--kind", "relaxed")
     assert code == 1 and "no satisfied" in err
+
+
+def write_relabeled_vertex(tmp_path, d):
+    """The attaining relaxed vertex (d-1, d-1, 1) under fixed outcome
+    permutations; for d >= 4 some of them are neither shifts nor reversals."""
+    vertex = nonlocal_vertex(Scenario.symmetric(d), (d - 1, d - 1, 1))
+    pa = ((1, 0) + tuple(range(2, d)), tuple(range(1, d)) + (0,))
+    pb = (tuple(range(d - 1, -1, -1)), (0,) + tuple(range(2, d)) + (1,))
+    box = JointBox.from_function(
+        vertex.scenario, lambda x, y, a, b: vertex.prob(x, y, pa[x][a], pb[y][b]))
+    path = tmp_path / f"vertex{d}.json"
+    path.write_text(box_to_json(box))
+    return str(path)
+
+
+# stdout sha256 of `nsbox pn --kind relaxed --exhaustive-perms` on the files
+# above, recorded from the full (n!)^2 permutation-pair enumeration that the
+# depth-first relabeling search replaced
+GOLDEN_PN_EXHAUSTIVE = [
+    (3, "183bb1e8934d0e959619750b57b4d2837f676c9098d9b614f549a3fbe7769cf3"),
+    (4, "b1dd985718d5ac2aad60496490d02aeeb4f4fe5ef11ec22b00ded2ff53cfe7e6"),
+    (5, "a9535e674447ec4e827ff669bca2717a25f6be4e94531a41b0e2e1a4f286aa91"),
+]
+
+
+@pytest.mark.parametrize("d,digest", GOLDEN_PN_EXHAUSTIVE)
+def test_pn_exhaustive_output_is_byte_identical_to_golden(capsys, tmp_path, d, digest):
+    path = write_relabeled_vertex(tmp_path, d)
+    code, out, _ = run(capsys, "pn", path, "--kind", "relaxed", "--exhaustive-perms")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["pn", "verify"])
+def test_exhaustive_search_over_budget_exits_2(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(hardy, "MAX_PERMUTATION_FAMILY", 100)  # below 5! = 120
+    path = tmp_path / "vertex5.json"
+    path.write_text(box_to_json(nonlocal_vertex(Scenario.symmetric(5), (4, 4, 1))))
+    code, _, err = run(capsys, command, str(path), "--kind", "relaxed", "--exhaustive-perms")
+    assert code == 2
+    assert err == ("error: the relabeling search over 5 outcomes needs a family of 120 "
+                   "permutations per input, over the budget of 100\n")
+    # the default family (10 shifts and reversals) stays within the budget
+    code, _, _ = run(capsys, command, str(path), "--kind", "relaxed")
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

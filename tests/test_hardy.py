@@ -14,17 +14,20 @@ from fractions import Fraction
 import pytest
 
 from nsbox import (
+    MAX_PERMUTATION_FAMILY,
     ArgumentNotSatisfied,
     HardyArgument,
     JointBox,
     Relabeling,
     Scenario,
+    SearchBudgetExceeded,
     argument_events,
     attaining_nonlocal_vertex,
     best_satisfied_argument,
     build_argument,
     compute_pn,
     convex_decomposition,
+    deterministic_box,
     enumerate_vertices,
     evaluate_pp,
     feasible_above,
@@ -34,10 +37,12 @@ from nsbox import (
     max_success_ns,
     nonlocal_vertex,
     ns_program,
+    permutation_family_size,
     ppc,
     quantum_reference,
     uniform_box,
 )
+from nsbox import hardy
 
 F = Fraction
 
@@ -285,7 +290,7 @@ def test_attaining_vertex_pn_and_ppc():
         result = compute_pn(box, base)
         assert result.pn == 1, d
         assert result.pn - pp == F(1, d)
-        if d <= 4:  # the exhaustive search must agree with the default family
+        if d <= 6:  # the exhaustive search must agree with the default family
             wide = compute_pn(box, base, exhaustive_perms=True)
             assert wide.pn == 1
 
@@ -317,6 +322,127 @@ def test_ppc_on_d4_vertex():
     base, _ = build_argument("relaxed", s)
     box = nonlocal_vertex(s, (3, 3, 1))
     assert ppc(box, base) == F(1, 4)
+
+
+def test_packing_of_many_overlapping_entries_keeps_the_first_maximum():
+    # 1,500 entries sharing cell (0, 0): one recursion level per skipped
+    # entry would exceed Python's default recursion limit
+    entries = [(frozenset({(0, 0), (1, i)}), F(1, 10**6), i) for i in range(1500)]
+    entries[700] = (frozenset({(0, 0), (1, 900)}), F(1, 2), 700)
+    entries[900] = (frozenset({(0, 0), (1, 901)}), F(1, 2), 900)
+    total, picked = hardy._max_disjoint_mass(entries)
+    assert total == F(1, 2)
+    assert picked == [entries[700]]
+
+
+# ---------------------------------------------------------------------------
+# relabeling search: budget and agreement with the full enumeration
+
+
+def test_permutation_family_size():
+    assert [permutation_family_size(n, True) for n in (2, 5, 7, 8)] == [2, 120, 5040, 40320]
+    assert [permutation_family_size(n, False) for n in (2, 3, 7)] == [2, 6, 14]
+    assert MAX_PERMUTATION_FAMILY == permutation_family_size(7, True)
+
+
+def test_exhaustive_search_refuses_over_budget():
+    hardy._check_search_budget(Scenario.symmetric(7), True)
+    hardy._check_search_budget(Scenario.symmetric(8), False)
+    with pytest.raises(SearchBudgetExceeded, match="40320 permutations.*budget of 5040"):
+        hardy._check_search_budget(Scenario.from_dims([2, 8, 3, 3]), True)
+    # the public entry points refuse before building any permutation
+    s = Scenario.symmetric(8)
+    base, _ = build_argument("relaxed", s)
+    box = nonlocal_vertex(s, (7, 7, 1))
+    with pytest.raises(SearchBudgetExceeded):
+        compute_pn(box, base, exhaustive_perms=True)
+    with pytest.raises(ValueError):
+        best_satisfied_argument(box, "relaxed", exhaustive_perms=True)
+    assert compute_pn(box, base).pn == 1
+
+
+def full_enumeration_relation(box, block, template, left, right, bound):
+    """Reference: test every (left, right) permutation pair on every template
+    cell, the (n!)^2 enumeration that the depth-first search replaced."""
+    x, y = block
+    rel = {}
+    for ia, pa in enumerate(left):
+        hits = []
+        for ib, pb in enumerate(right):
+            if bound > 0:
+                total = sum((box.prob(x, y, pa[r], pb[t]) for r, t in template), F(0))
+                ok = total <= bound
+            else:
+                ok = all(box.prob(x, y, pa[r], pb[t]) == 0 for r, t in template)
+            if ok:
+                hits.append(ib)
+        if hits:
+            rel[ia] = hits
+    return rel
+
+
+def relabeled(box, alice_perms, bob_perms):
+    return JointBox.from_function(
+        box.scenario, lambda x, y, a, b: box.prob(x, y, alice_perms[x][a], bob_perms[y][b]))
+
+
+def mixture(s):
+    """A congruence box mixed with two deterministic boxes."""
+    d = s.min_outputs
+    parts = ((F(1, 2), nonlocal_vertex(s, (d - 1, 0, 1))),
+             (F(1, 3), deterministic_box(s, (0, s.alice[1] - 1), (1, 0))),
+             (F(1, 6), deterministic_box(s, (1, 0), (s.bob[0] - 1, 1))))
+    return JointBox(s, tuple(sum((w * box.table[i] for w, box in parts), F(0))
+                             for i in range(s.num_coords)))
+
+
+def differential_boxes(dims):
+    s = Scenario.from_dims(dims)
+    d = s.min_outputs
+    return [nonlocal_vertex(s, (d - 1, d - 1, 1)), nonlocal_vertex(s, (0, 1, d - 1)),
+            mixture(s), uniform_box(s)]
+
+
+def assert_search_matches_full_enumeration(monkeypatch, box, kind, p, swaps, exhaustive):
+    def search():
+        candidates, block = hardy._success_candidates(box, kind, p, swaps, exhaustive)
+        if not candidates:
+            return candidates, block, None
+        base = HardyArgument(kind, box.scenario, candidates[0][2], p)
+        return candidates, block, compute_pn(box, base, exhaustive)
+
+    fast = search()
+    with monkeypatch.context() as m:
+        m.setattr(hardy, "_relation", full_enumeration_relation)
+        slow = search()
+    assert fast == slow, (box.scenario.dims(), kind, p, swaps, exhaustive)
+
+
+ARGUMENT_CASES = [("conventional", F(0)), ("relaxed", F(0)), ("relaxed", F(1, 3))]
+SWAPS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 4, 3), (3, 2, 2, 4),
+                                  (4, 4, 4, 4)])
+def test_search_matches_full_enumeration(monkeypatch, dims):
+    for box in differential_boxes(dims):
+        assert is_valid_box(box).ok
+        for kind, p in ARGUMENT_CASES:
+            for swaps in SWAPS:
+                for exhaustive in (False, True):
+                    assert_search_matches_full_enumeration(
+                        monkeypatch, box, kind, p, swaps, exhaustive)
+
+
+def test_search_matches_full_enumeration_d5(monkeypatch):
+    s = Scenario.symmetric(5)
+    perms = ((1, 0, 2, 3, 4), (2, 4, 1, 0, 3))
+    vertex = relabeled(nonlocal_vertex(s, (4, 4, 1)), perms, perms[::-1])
+    for box, kind, p, swaps in ((vertex, "relaxed", F(0), (False, False)),
+                                (vertex, "conventional", F(0), (True, False)),
+                                (mixture(s), "relaxed", F(1, 3), (False, True)),
+                                (mixture(s), "conventional", F(0), (True, True))):
+        assert_search_matches_full_enumeration(monkeypatch, box, kind, p, swaps, True)
 
 
 # ---------------------------------------------------------------------------
