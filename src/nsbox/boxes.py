@@ -167,17 +167,21 @@ def uniform_box(scenario: Scenario) -> JointBox:
 
 @dataclass(frozen=True)
 class LinearCondition:
-    """One labeled linear row over box coordinates: coeffs . p (= | <=) rhs."""
+    """One labeled linear row over box coordinates: coeffs . p (= | <=) rhs.
 
-    coeffs: tuple[Fraction, ...]
+    The row is sparse: coeffs holds its nonzero (index, coeff) pairs, sorted
+    by coordinate index."""
+
+    coeffs: tuple[tuple[int, Fraction], ...]
     rhs: Fraction
     relation: str  # "eq" or "le"
     label: str
 
     def evaluate(self, box: JointBox) -> Fraction:
         total = _ZERO
-        for c, p in zip(self.coeffs, box.table):
-            if c and p:
+        for i, c in self.coeffs:
+            p = box.table[i]
+            if p:
                 total += c * p
         return total
 
@@ -190,8 +194,8 @@ class LinearCondition:
 class ConstraintSystem:
     """A labeled bundle of linear conditions over one scenario's coordinates.
 
-    The variable order is the scenario's coord_index bijection, so rows can
-    be handed to the LP kernel as-is.
+    The variable order is the scenario's coord_index bijection; eq_rows and
+    le_rows expand the sparse rows to the dense form the LP kernel takes.
     """
 
     scenario: Scenario
@@ -205,11 +209,21 @@ class ConstraintSystem:
             conds.extend(other.conditions)
         return ConstraintSystem(self.scenario, tuple(conds))
 
+    def _dense_rows(self, relation: str) -> list[tuple[list[Fraction], Fraction]]:
+        rows = []
+        for c in self.conditions:
+            if c.relation == relation:
+                row = [_ZERO] * self.scenario.num_coords
+                for i, v in c.coeffs:
+                    row[i] = v
+                rows.append((row, c.rhs))
+        return rows
+
     def eq_rows(self) -> list[tuple[list[Fraction], Fraction]]:
-        return [(list(c.coeffs), c.rhs) for c in self.conditions if c.relation == "eq"]
+        return self._dense_rows("eq")
 
     def le_rows(self) -> list[tuple[list[Fraction], Fraction]]:
-        return [(list(c.coeffs), c.rhs) for c in self.conditions if c.relation == "le"]
+        return self._dense_rows("le")
 
     def violations(self, box: JointBox) -> list[str]:
         if box.scenario != self.scenario:
@@ -223,26 +237,19 @@ def _positivity_label(x: int, y: int, a: int, b: int) -> str:
 
 def build_positivity(scenario: Scenario) -> ConstraintSystem:
     """One row -P(a, b | x, y) <= 0 per coordinate."""
-    n = scenario.num_coords
-    conds = []
-    for i, (x, y, a, b) in enumerate(scenario.coords()):
-        coeffs = [_ZERO] * n
-        coeffs[i] = Fraction(-1)
-        conds.append(LinearCondition(tuple(coeffs), _ZERO, "le", _positivity_label(x, y, a, b)))
-    return ConstraintSystem(scenario, tuple(conds))
+    return ConstraintSystem(scenario, tuple(
+        LinearCondition(((i, Fraction(-1)),), _ZERO, "le", _positivity_label(x, y, a, b))
+        for i, (x, y, a, b) in enumerate(scenario.coords())))
 
 
 def build_normalization(scenario: Scenario) -> ConstraintSystem:
     """One row per input pair: the block's entries sum to 1. Exactly 4 rows."""
-    n = scenario.num_coords
     conds = []
     for x, y in INPUT_PAIRS:
-        coeffs = [_ZERO] * n
-        for a in range(scenario.alice[x]):
-            for b in range(scenario.bob[y]):
-                coeffs[scenario.coord_index(x, y, a, b)] = _ONE
+        coeffs = tuple((scenario.coord_index(x, y, a, b), _ONE)
+                       for a in range(scenario.alice[x]) for b in range(scenario.bob[y]))
         conds.append(LinearCondition(
-            tuple(coeffs), _ONE, "eq", f"normalization: block (x={x}, y={y}) sums to 1"))
+            coeffs, _ONE, "eq", f"normalization: block (x={x}, y={y}) sums to 1"))
     return ConstraintSystem(scenario, tuple(conds))
 
 
@@ -253,29 +260,26 @@ def build_nosignaling(scenario: Scenario) -> ConstraintSystem:
     indices aligned with this fixed catalog; downstream solvers tolerate the
     redundancy. All-dims-2 scenarios get 8 Alice rows and 8 Bob rows.
     """
-    n = scenario.num_coords
+    def row(near, far):
+        return tuple(sorted([(i, _ONE) for i in near] + [(i, -_ONE) for i in far]))
+
+    idx = scenario.coord_index
     conds = []
     for x in (0, 1):
         for a in range(scenario.alice[x]):
             for y_near, y_far in ((0, 1), (1, 0)):
-                coeffs = [_ZERO] * n
-                for b in range(scenario.bob[y_near]):
-                    coeffs[scenario.coord_index(x, y_near, a, b)] += _ONE
-                for b in range(scenario.bob[y_far]):
-                    coeffs[scenario.coord_index(x, y_far, a, b)] -= _ONE
+                coeffs = row([idx(x, y_near, a, b) for b in range(scenario.bob[y_near])],
+                             [idx(x, y_far, a, b) for b in range(scenario.bob[y_far])])
                 conds.append(LinearCondition(
-                    tuple(coeffs), _ZERO, "eq",
+                    coeffs, _ZERO, "eq",
                     f"no-signaling: P(a={a + 1} | x={x}) via y={y_near} equals via y={y_far}"))
     for y in (0, 1):
         for b in range(scenario.bob[y]):
             for x_near, x_far in ((0, 1), (1, 0)):
-                coeffs = [_ZERO] * n
-                for a in range(scenario.alice[x_near]):
-                    coeffs[scenario.coord_index(x_near, y, a, b)] += _ONE
-                for a in range(scenario.alice[x_far]):
-                    coeffs[scenario.coord_index(x_far, y, a, b)] -= _ONE
+                coeffs = row([idx(x_near, y, a, b) for a in range(scenario.alice[x_near])],
+                             [idx(x_far, y, a, b) for a in range(scenario.alice[x_far])])
                 conds.append(LinearCondition(
-                    tuple(coeffs), _ZERO, "eq",
+                    coeffs, _ZERO, "eq",
                     f"no-signaling: P(b={b + 1} | y={y}) via x={x_near} equals via x={x_far}"))
     return ConstraintSystem(scenario, tuple(conds))
 
@@ -298,8 +302,7 @@ def is_valid_box(box: JointBox) -> ValidationReport:
     """Exact membership check: positivity, normalization, no-signaling.
 
     Violations are reported with the same labels the constraint builders use.
-    Positivity is scanned directly (a dense positivity system would be
-    quadratic in the table size for no benefit).
+    Positivity is scanned directly over the table.
     """
     violations = []
     for (x, y, a, b), p in zip(box.scenario.coords(), box.table):

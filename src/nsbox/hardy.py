@@ -11,6 +11,13 @@ three zero conditions on the four input pairs:
   analogous ordering events on the other three pairs, and the last of them
   may be relaxed from "= 0" to "<= p".
 
+Each kind is encoded once, as a rank-space template (_template): the success
+cells and three conditions, each a logical input pair with its cells in
+(Alice rank, Bob rank) space. Everything else derives from it: the concrete
+event sets (the template placed on physical inputs and relabeled), the LP
+rows, the relabeling search, and the one check of an argument's conditions
+against a box (_violation).
+
 The module optimizes success exactly over the no-signaling polytope (LP) or
 over local deterministic models (exhaustive enumeration, deliberately
 independent of the LP kernel), evaluates a box's success mass PP, and
@@ -30,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .boxes import (
     JointBox,
@@ -199,6 +206,37 @@ def build_argument(kind: str, scenario: Scenario, p=_ZERO,
     return arg, argument_events(arg)
 
 
+def _template(kind: str, na0: int, na1: int, nb0: int, nb1: int):
+    """The argument in rank space, given the outcome counts of Alice's and
+    Bob's first and second logical inputs.
+
+    Returns (success cells, conditions). The success cells live on logical
+    pair (0, 0); each condition is ((i, j), cells) for logical pair (i, j),
+    cells being (Alice rank, Bob rank) pairs. The order is fixed per kind,
+    and the bound p, when positive, applies to the third condition.
+    """
+    if kind == KIND_RELAXED:
+        na, nb = (na0, na1), (nb0, nb1)
+
+        def ordering(i, j, flip=False):
+            return tuple((r, t) for r in range(na[i]) for t in range(nb[j])
+                         if (t < r if flip else r < t))
+
+        return ordering(0, 0), (((1, 0), ordering(1, 0)), ((1, 1), ordering(1, 1, True)),
+                                ((0, 1), ordering(0, 1)))
+    return ((0, nb0 - 1),), (((1, 0), tuple((r, nb0 - 1) for r in range(1, na1))),
+                             ((0, 1), tuple((0, t) for t in range(nb1 - 1))),
+                             ((1, 1), ((0, nb1 - 1),)))
+
+
+def _roles(scenario: Scenario, swaps: tuple[bool, bool]):
+    """The physical inputs that play Alice's and Bob's logical inputs 0 and 1,
+    and the outcome counts (a0, a1, b0, b1) of those logical inputs."""
+    ax = (1, 0) if swaps[0] else (0, 1)
+    by = (1, 0) if swaps[1] else (0, 1)
+    return ax, by, tuple(scenario.alice[x] for x in ax) + tuple(scenario.bob[y] for y in by)
+
+
 def argument_events(arg: HardyArgument) -> ArgumentEvents:
     """Event sets of the argument with its relabeling already applied.
 
@@ -206,38 +244,17 @@ def argument_events(arg: HardyArgument) -> ArgumentEvents:
     the relabeling says so); ranks r, t are turned into concrete outcomes by
     that physical input's permutation.
     """
-    s = arg.scenario
-    aperms, bperms = arg.relabeling.resolved(s)
-    ax = (1, 0) if arg.relabeling.alice_input_swap else (0, 1)
-    by = (1, 0) if arg.relabeling.bob_input_swap else (0, 1)
+    rel = arg.relabeling
+    aperms, bperms = rel.resolved(arg.scenario)
+    ax, by, counts = _roles(arg.scenario, (rel.alice_input_swap, rel.bob_input_swap))
+    success, conditions = _template(arg.kind, *counts)
 
-    def ev(i, j, r, t):
+    def place(i, j, cells):
         x, y = ax[i], by[j]
-        return (x, y, aperms[x][r], bperms[y][t])
+        return frozenset((x, y, aperms[x][r], bperms[y][t]) for r, t in cells)
 
-    def counts(i, j):
-        return s.alice[ax[i]], s.bob[by[j]]
-
-    if arg.kind == KIND_RELAXED:
-        def ordering(i, j, flip):
-            na, nb = counts(i, j)
-            return frozenset(
-                ev(i, j, r, t)
-                for r in range(na) for t in range(nb)
-                if (t < r if flip else r < t))
-
-        success = ordering(0, 0, False)
-        zeros = (ordering(1, 0, False), ordering(1, 1, True), ordering(0, 1, False))
-    else:
-        last0 = counts(0, 0)[1] - 1
-        last1 = counts(0, 1)[1] - 1
-        success = frozenset({ev(0, 0, 0, last0)})
-        zeros = (
-            frozenset(ev(1, 0, r, last0) for r in range(1, counts(1, 0)[0])),
-            frozenset(ev(0, 1, 0, t) for t in range(last1)),
-            frozenset({ev(1, 1, 0, last1)}),
-        )
-    return ArgumentEvents(success, zeros)
+    return ArgumentEvents(place(0, 0, success),
+                          tuple(place(i, j, cells) for (i, j), cells in conditions))
 
 
 def _check_box_for(box: JointBox, arg: HardyArgument) -> None:
@@ -248,30 +265,46 @@ def _check_box_for(box: JointBox, arg: HardyArgument) -> None:
         raise ValueError("invalid box: " + "; ".join(report.violations[:3]))
 
 
+def _mass(entry, cells) -> Fraction:
+    """Total probability that entry, a function (x, y, a, b) -> probability,
+    gives the coordinates in cells."""
+    return sum((entry(*e) for e in cells), _ZERO)
+
+
+def _violation(entry, events: ArgumentEvents, p: Fraction) -> Optional[ArgumentNotSatisfied]:
+    """The first of the argument's conditions that entry (a function
+    (x, y, a, b) -> probability) breaks, as an ArgumentNotSatisfied to raise,
+    or None when all hold. The one check of conditions against a box, a
+    deterministic strategy or a congruence vertex. A broken zero condition is
+    reported at its first nonzero event in coordinate order; with p > 0 the
+    third condition is a bounded sum."""
+    for k, zset in enumerate(events.zeros):
+        if p > 0 and k == 2:
+            total = _mass(entry, zset)
+            if total > p:
+                return ArgumentNotSatisfied(
+                    f"bounded condition exceeds its bound: mass {format_rational(total)}"
+                    f" > {format_rational(p)}",
+                    condition=k, amount=total)
+        elif any(entry(*e) for e in zset):
+            e = min(e for e in zset if entry(*e))
+            return ArgumentNotSatisfied(
+                f"zero condition {k + 1} violated at event {format_event(e)}"
+                f" with probability {format_rational(entry(*e))}",
+                condition=k, event=e, amount=entry(*e))
+    return None
+
+
 def evaluate_pp(box: JointBox, arg: HardyArgument) -> Fraction:
     """The box's success mass under arg, provided every zero condition holds
     exactly (and the bounded one is within its bound); otherwise raises
     ArgumentNotSatisfied naming the first violation."""
     _check_box_for(box, arg)
     events = argument_events(arg)
-    p = arg.last_condition_bound
-    for k, zset in enumerate(events.zeros):
-        if p > 0 and k == 2:
-            total = sum((box.prob(*e) for e in sorted(zset)), _ZERO)
-            if total > p:
-                raise ArgumentNotSatisfied(
-                    f"bounded condition exceeds its bound: mass {format_rational(total)}"
-                    f" > {format_rational(p)}",
-                    condition=k, amount=total)
-        else:
-            for e in sorted(zset):
-                q = box.prob(*e)
-                if q != 0:
-                    raise ArgumentNotSatisfied(
-                        f"zero condition {k + 1} violated at event {format_event(e)}"
-                        f" with probability {format_rational(q)}",
-                        condition=k, event=e, amount=q)
-    return sum((box.prob(*e) for e in sorted(events.success)), _ZERO)
+    violation = _violation(box.prob, events, arg.last_condition_bound)
+    if violation is not None:
+        raise violation
+    return _mass(box.prob, events.success)
 
 
 def ns_program(arg: HardyArgument) -> LinearProgram:
@@ -314,13 +347,6 @@ def max_success_ns(arg: HardyArgument) -> OptimizationReport:
     return OptimizationReport(arg, result.value, witness, REGIME_NS)
 
 
-def _group_by_block(events: Iterable) -> dict:
-    grouped: dict[tuple[int, int], set] = {}
-    for (x, y, a, b) in events:
-        grouped.setdefault((x, y), set()).add((a, b))
-    return grouped
-
-
 def max_success_lhv(arg: HardyArgument) -> OptimizationReport:
     """Exact optimum over local deterministic strategies (and hence over all
     their mixtures: the objective is linear and the zero conditions force
@@ -332,29 +358,20 @@ def max_success_lhv(arg: HardyArgument) -> OptimizationReport:
     if arg.last_condition_bound != 0:
         raise ValueError("the local-realistic route only handles p = 0 arguments")
     events = argument_events(arg)
-    zero_blocks = [_group_by_block(zset) for zset in events.zeros]
-    success_blocks = _group_by_block(events.success)
-    best_val = -1
-    best_strategy = None
+    best = None
     for alice_fn, bob_fn in deterministic_strategies(arg.scenario):
-        ok = True
-        for grouped in zero_blocks:
-            for (x, y), cells in grouped.items():
-                if (alice_fn[x], bob_fn[y]) in cells:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        val = sum(1 for (x, y), cells in success_blocks.items()
-                  if (alice_fn[x], bob_fn[y]) in cells)
-        if val > best_val:
-            best_val, best_strategy = val, (alice_fn, bob_fn)
-    if best_strategy is None:
+        def entry(x, y, a, b):
+            return _ONE if a == alice_fn[x] and b == bob_fn[y] else _ZERO
+
+        if _violation(entry, events, _ZERO) is None:
+            val = _mass(entry, events.success)
+            if best is None or val > best[0]:
+                best = (val, alice_fn, bob_fn)
+    if best is None:
         raise RuntimeError("internal error: no deterministic strategy satisfies the zero conditions")
-    witness = deterministic_box(arg.scenario, *best_strategy)
-    return OptimizationReport(arg, Fraction(best_val), witness, REGIME_LHV)
+    val, alice_fn, bob_fn = best
+    witness = deterministic_box(arg.scenario, alice_fn, bob_fn)
+    return OptimizationReport(arg, val, witness, REGIME_LHV)
 
 
 def _dihedral_perms(n: int) -> tuple[tuple[int, ...], ...]:
@@ -471,23 +488,6 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
     return rel
 
 
-def _rank_templates(kind: str, na0: int, na1: int, nb0: int, nb1: int):
-    """Success and zero templates in rank space, keyed by the permutation pair
-    they couple: (a1, b0), (a1, b1), (a0, b1), plus the success (a0, b0).
-    The bounded template (when p > 0, relaxed kind) is the (a0, b1) one."""
-    if kind == KIND_RELAXED:
-        t_a1b0 = tuple((r, t) for r in range(na1) for t in range(nb0) if r < t)
-        t_a1b1 = tuple((r, t) for r in range(na1) for t in range(nb1) if t < r)
-        t_a0b1 = tuple((r, t) for r in range(na0) for t in range(nb1) if r < t)
-        t_success = tuple((r, t) for r in range(na0) for t in range(nb0) if r < t)
-    else:
-        t_a1b0 = tuple((r, nb0 - 1) for r in range(1, na1))
-        t_a1b1 = ((0, nb1 - 1),)
-        t_a0b1 = tuple((0, t) for t in range(nb1 - 1))
-        t_success = ((0, nb0 - 1),)
-    return t_a1b0, t_a1b1, t_a0b1, t_success
-
-
 def _satisfied_chains(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, bool],
                       exhaustive: bool):
     """All permutation chains whose relabeled argument the box satisfies.
@@ -497,27 +497,19 @@ def _satisfied_chains(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, 
     follows the satisfied pairs rather than every pair. Refuses, before any
     search, a family larger than MAX_PERMUTATION_FAMILY.
 
-    Returns (family maps, designated block, success template, achievable),
-    where achievable maps (index of a0 perm, index of b0 perm) to a witness
-    (index of a1 perm, index of b1 perm), deterministically chosen.
+    Returns (Alice's and Bob's families per logical input, their physical
+    inputs, success template, achievable), where achievable maps (index of
+    a0 perm, index of b0 perm) to a witness (index of a1 perm, index of b1
+    perm), deterministically chosen.
     """
-    s = box.scenario
-    _check_search_budget(s, exhaustive)
-    swap_a, swap_b = swaps
-    xs, x1 = (1, 0) if swap_a else (0, 1)
-    ys, y1 = (1, 0) if swap_b else (0, 1)
-    na0, na1 = s.alice[xs], s.alice[x1]
-    nb0, nb1 = s.bob[ys], s.bob[y1]
-    t_a1b0, t_a1b1, t_a0b1, t_success = _rank_templates(kind, na0, na1, nb0, nb1)
-
-    fam_a0 = _perm_family(na0, exhaustive)
-    fam_a1 = _perm_family(na1, exhaustive)
-    fam_b0 = _perm_family(nb0, exhaustive)
-    fam_b1 = _perm_family(nb1, exhaustive)
-
-    r_a1b0 = _relation(box, (x1, ys), t_a1b0, fam_a1, fam_b0, _ZERO)
-    r_a1b1 = _relation(box, (x1, y1), t_a1b1, fam_a1, fam_b1, _ZERO)
-    r_a0b1 = _relation(box, (xs, y1), t_a0b1, fam_a0, fam_b1, p)
+    _check_search_budget(box.scenario, exhaustive)
+    ax, by, counts = _roles(box.scenario, swaps)
+    t_success, conditions = _template(kind, *counts)
+    fam_a = tuple(_perm_family(n, exhaustive) for n in counts[:2])
+    fam_b = tuple(_perm_family(n, exhaustive) for n in counts[2:])
+    rel = {(i, j): _relation(box, (ax[i], by[j]), cells, fam_a[i], fam_b[j], p if k == 2 else _ZERO)
+           for k, ((i, j), cells) in enumerate(conditions)}
+    r_a1b0, r_a1b1, r_a0b1 = rel[(1, 0)], rel[(1, 1)], rel[(0, 1)]
 
     b1_to_a0: dict[int, list[int]] = {}
     for ia0 in sorted(r_a0b1):
@@ -534,33 +526,26 @@ def _satisfied_chains(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, 
     for (ib0, ib1), ia1 in sorted(pair_witness.items()):
         for ia0 in b1_to_a0.get(ib1, ()):
             achievable.setdefault((ia0, ib0), (ia1, ib1))
-
-    families = (fam_a0, fam_a1, fam_b0, fam_b1)
-    placement = (xs, x1, ys, y1)
-    return families, placement, t_success, achievable
+    return (fam_a, fam_b), (ax, by), t_success, achievable
 
 
 def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, bool],
                         exhaustive: bool):
     """Deterministic list of (success cells, mass, relabeling) for every
     satisfied permutation chain; cells live on the designated block."""
-    families, placement, t_success, achievable = _satisfied_chains(box, kind, p, swaps, exhaustive)
-    fam_a0, fam_a1, fam_b0, fam_b1 = families
-    xs, x1, ys, y1 = placement
+    (fam_a, fam_b), (ax, by), t_success, achievable = _satisfied_chains(
+        box, kind, p, swaps, exhaustive)
     out = []
     for (ia0, ib0) in sorted(achievable):
         ia1, ib1 = achievable[(ia0, ib0)]
-        pa0, pa1 = fam_a0[ia0], fam_a1[ia1]
-        pb0, pb1 = fam_b0[ib0], fam_b1[ib1]
-        cells = frozenset((pa0[r], pb0[t]) for r, t in t_success)
-        mass = sum((box.prob(xs, ys, a, b) for a, b in sorted(cells)), _ZERO)
-        alice_perms = [None, None]
-        bob_perms = [None, None]
-        alice_perms[xs], alice_perms[x1] = pa0, pa1
-        bob_perms[ys], bob_perms[y1] = pb0, pb1
-        rel = Relabeling(swaps[0], swaps[1], tuple(alice_perms), tuple(bob_perms))
+        pa = (fam_a[0][ia0], fam_a[1][ia1])
+        pb = (fam_b[0][ib0], fam_b[1][ib1])
+        cells = frozenset((pa[0][r], pb[0][t]) for r, t in t_success)
+        mass = sum((box.prob(ax[0], by[0], a, b) for a, b in cells), _ZERO)
+        # a swap is its own inverse: physical input x plays logical input ax[x]
+        rel = Relabeling(swaps[0], swaps[1], (pa[ax[0]], pa[ax[1]]), (pb[by[0]], pb[by[1]]))
         out.append((cells, mass, rel))
-    return out, (xs, ys)
+    return out, (ax[0], by[0])
 
 
 def _max_disjoint_mass(entries):
@@ -636,8 +621,9 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     family = []
     claimed: set = set()
     for cells, mass, arg in picked:
-        check = evaluate_pp(box, arg)
-        if check != mass or not claimed.isdisjoint(cells):
+        events = argument_events(arg)
+        if (_violation(box.prob, events, arg.last_condition_bound) is not None
+                or _mass(box.prob, events.success) != mass or not claimed.isdisjoint(cells)):
             raise RuntimeError("internal error: inconsistent packing member")
         claimed.update(cells)
         family.append(arg)
@@ -676,27 +662,13 @@ def attaining_nonlocal_vertex(arg: HardyArgument) -> tuple[NonlocalLabel, JointB
     from its materialized table via evaluate_pp before being returned."""
     s = arg.scenario
     events = argument_events(arg)
-    d = s.min_outputs
-    p = arg.last_condition_bound
-    zero_lists = [sorted(zset) for zset in events.zeros]
-    success_list = sorted(events.success)
     best = None
-    for label in itertools.product(range(d), repeat=3):
+    for label in itertools.product(range(s.min_outputs), repeat=3):
         entry = nonlocal_entry_fn(s, label)
-        ok = True
-        for k, zlist in enumerate(zero_lists):
-            if p > 0 and k == 2:
-                if sum((entry(*e) for e in zlist), _ZERO) > p:
-                    ok = False
-                    break
-            elif any(entry(*e) != 0 for e in zlist):
-                ok = False
-                break
-        if not ok:
-            continue
-        mass = sum((entry(*e) for e in success_list), _ZERO)
-        if best is None or mass > best[1]:
-            best = (label, mass)
+        if _violation(entry, events, arg.last_condition_bound) is None:
+            mass = _mass(entry, events.success)
+            if best is None or mass > best[1]:
+                best = (label, mass)
     if best is None:
         raise ValueError("no congruence vertex satisfies the argument's zero conditions")
     label, mass = best

@@ -15,9 +15,11 @@ __all__ = ["coerce_rational", "format_rational", "parse_rational"]
 def coerce_rational(value) -> Fraction:
     """Coerce an int, Fraction, or rational string to an exact Fraction.
 
-    Floats are rejected rather than converted: a float already carries the
-    rounding it picked up upstream.
+    A Fraction comes back as the same object. Floats are rejected rather than
+    converted: a float already carries the rounding it picked up upstream.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ValueError(f"float value {value!r} rejected: exact rationals only")
     try:

@@ -23,6 +23,7 @@ from nsbox import (
     polytope_system,
     uniform_box,
 )
+from nsbox.boxes import INPUT_PAIRS
 
 F = Fraction
 
@@ -80,12 +81,16 @@ def test_positivity_row_counts():
 
 
 def test_normalization_rows():
-    system = build_normalization(Scenario.symmetric(2))
+    s = Scenario.symmetric(2)
+    system = build_normalization(s)
     assert len(system.conditions) == 4
-    for cond in system.conditions:
-        assert cond.relation == "eq" and cond.rhs == 1
-        assert sum(1 for c in cond.coeffs if c == 1) == 4
-        assert all(c in (0, 1) for c in cond.coeffs)
+    for (x, y), cond, (dense, rhs) in zip(INPUT_PAIRS, system.conditions, system.eq_rows()):
+        assert cond.relation == "eq" and cond.rhs == 1 and rhs == 1
+        block = [s.coord_index(x, y, a, b) for a in range(2) for b in range(2)]
+        assert cond.coeffs == tuple((i, 1) for i in block)
+        assert len(dense) == s.num_coords
+        assert [i for i, c in enumerate(dense) if c == 1] == block
+        assert all(c in (0, 1) for c in dense)
     assert is_valid_box(uniform_box(Scenario.from_dims([2, 3, 4, 5]))).ok
 
 

@@ -9,6 +9,9 @@ Frozen expectations used as oracles here:
   so PN reaches 1.
 """
 
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -28,6 +31,7 @@ from nsbox import (
     compute_pn,
     convex_decomposition,
     deterministic_box,
+    deterministic_strategies,
     enumerate_vertices,
     evaluate_pp,
     feasible_above,
@@ -178,6 +182,26 @@ def test_relabeled_argument_has_same_optimum():
     assert max_success_ns(arg).optimum == F(1, 2)
 
 
+# sha256 of json.dumps(ns_program(arg).to_json_dict(), sort_keys=True) for the
+# identity argument, recorded before the rank-space template became the only
+# encoding: it fixes the objective and the row order, so Bland's pivot path
+GOLDEN_NS_PROGRAM = [
+    ("conventional", (2, 2, 2, 2), "747a221b4d36e92031806daf45a958f87ec2ed844a0e12f61378ef81b059a7e1"),
+    ("conventional", (3, 3, 3, 3), "278f896b243e699c3888defed1664adbabc9c8840bde6a75d17f082ddcde28a6"),
+    ("conventional", (2, 3, 4, 5), "92407c160253839d236e96867990a33661c36f16cd6aa7931fa1788c892e21ad"),
+    ("relaxed", (2, 2, 2, 2), "bca6b99ecd05b78a2bce5d9491eaeee0f6a37f8735d1613844a0419ed98ab6b5"),
+    ("relaxed", (3, 3, 3, 3), "9ec0b241d181872bfc213de08f6f283d0484ca6d5c1bb55e287a5b180ed46be2"),
+    ("relaxed", (2, 3, 4, 5), "dbd9cc8fc76d7a5f7b65b1f2b3a74f83e1c28328d60d0d07b9699c7865d8c87b"),
+]
+
+
+@pytest.mark.parametrize("kind,dims,digest", GOLDEN_NS_PROGRAM)
+def test_ns_program_is_byte_identical_to_golden(kind, dims, digest):
+    arg, _ = build_argument(kind, Scenario.from_dims(dims))
+    text = json.dumps(ns_program(arg).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # local-realistic optima (independent exhaustive route)
 
@@ -217,9 +241,31 @@ def test_pr_violates_literal_conventional():
     arg, _ = build_argument("conventional", Scenario.symmetric(2))
     with pytest.raises(ArgumentNotSatisfied) as info:
         evaluate_pp(pr_box(), arg)
+    assert info.value.condition == 0
     assert info.value.event == (1, 0, 1, 1)
     assert info.value.amount == F(1, 2)
     assert "a=2, b=2" in str(info.value)  # 1-based in the message
+
+
+# deterministic boxes breaking exactly one condition: the conventional order
+# is a1b0, a0b1, a1b1; the relaxed one a1b0, a1b1, a0b1, bounded last
+@pytest.mark.parametrize("kind,p,answers,condition,event", [
+    ("conventional", F(0), ((0, 0), (0, 0)), 1, (0, 1, 0, 0)),
+    ("conventional", F(0), ((0, 0), (0, 1)), 2, (1, 1, 0, 1)),
+    ("relaxed", F(0), ((0, 0), (0, 1)), 2, (0, 1, 0, 1)),
+    ("relaxed", F(1, 10), ((0, 0), (0, 1)), 2, None),
+])
+def test_violation_names_the_only_broken_condition(kind, p, answers, condition, event):
+    s = Scenario.symmetric(2)
+    box = deterministic_box(s, *answers)
+    arg, events = build_argument(kind, s, p)
+    broken = [k for k, zset in enumerate(events.zeros) if any(box.prob(*e) for e in zset)]
+    assert broken == [condition]
+    with pytest.raises(ArgumentNotSatisfied) as info:
+        evaluate_pp(box, arg)
+    assert (info.value.condition, info.value.event, info.value.amount) == (condition, event, 1)
+    expected = "bounded condition exceeds" if event is None else f"zero condition {condition + 1}"
+    assert str(info.value).startswith(expected)
 
 
 def test_attaining_vertex_pp():
@@ -256,6 +302,52 @@ def test_bounded_condition_pp():
     arg, _ = build_argument("relaxed", s, p=F(1, 10))
     # the vertex has zero mass on the bounded set, so the bound is slack
     assert evaluate_pp(box, arg) == F(2, 3)
+
+
+def first_maximum(candidates, arg):
+    """(key, box, pp) of the first candidate box with the largest PP among
+    those that pass evaluate_pp, or None."""
+    best = None
+    for key, box in candidates:
+        try:
+            pp = evaluate_pp(box, arg)
+        except ArgumentNotSatisfied:
+            continue
+        if best is None or pp > best[2]:
+            best = (key, box, pp)
+    return best
+
+
+def swapped_relabeling(s):
+    def shift(n):
+        return tuple((r + 1) % n for r in range(n))
+
+    def reverse(n):
+        return tuple(reversed(range(n)))
+
+    return Relabeling(True, True, (shift(s.alice[0]), reverse(s.alice[1])),
+                      (reverse(s.bob[0]), shift(s.bob[1])))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 4, 5)])
+@pytest.mark.parametrize("kind", ["conventional", "relaxed"])
+def test_condition_checks_agree_with_evaluate_pp(dims, kind):
+    s = Scenario.from_dims(dims)
+    for relabeling in (Relabeling(), swapped_relabeling(s)):
+        arg, _ = build_argument(kind, s, relabeling=relabeling)
+        strategies = [(fs, deterministic_box(s, *fs)) for fs in deterministic_strategies(s)]
+        _fs, box, pp = first_maximum(strategies, arg)
+        report = max_success_lhv(arg)
+        assert (report.witness, report.optimum) == (box, pp)
+
+        labels = itertools.product(range(s.min_outputs), repeat=3)
+        expected = first_maximum([(label, nonlocal_vertex(s, label)) for label in labels], arg)
+        if expected is None:
+            with pytest.raises(ValueError, match="no congruence vertex"):
+                attaining_nonlocal_vertex(arg)
+        else:
+            label, box, pp = attaining_nonlocal_vertex(arg)
+            assert (tuple(label), box, pp) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from nsbox import (
     check_feasible,
     exact_rank,
     feasible_above,
+    coerce_rational,
     solve_max,
 )
 from nsbox.lp import _presolve
@@ -126,6 +127,16 @@ def test_validation_error_is_not_a_status():
 def test_rational_strings_accepted():
     lp = LinearProgram(1, ["1"], [], [(["1"], "1/2")])
     assert solve_max(lp).value == F(1, 2)
+
+
+def test_coerce_rational_returns_a_fraction_as_it_is():
+    q = F(3, 7)
+    assert coerce_rational(q) is q
+    assert coerce_rational(2) == 2 and coerce_rational("1/2") == F(1, 2)
+    with pytest.raises(ValueError, match="float"):
+        coerce_rational(0.5)
+    with pytest.raises(ValueError, match="not a rational"):
+        coerce_rational(object())
 
 
 def test_duality_spot_check_helper():
