@@ -194,8 +194,8 @@ class LinearCondition:
 class ConstraintSystem:
     """A labeled bundle of linear conditions over one scenario's coordinates.
 
-    The variable order is the scenario's coord_index bijection; eq_rows and
-    le_rows expand the sparse rows to the dense form the LP kernel takes.
+    The variable order is the scenario's coord_index bijection; eq_rows hands
+    the sparse coeffs to the LP kernel as they are, its own row form.
     """
 
     scenario: Scenario
@@ -209,21 +209,8 @@ class ConstraintSystem:
             conds.extend(other.conditions)
         return ConstraintSystem(self.scenario, tuple(conds))
 
-    def _dense_rows(self, relation: str) -> list[tuple[list[Fraction], Fraction]]:
-        rows = []
-        for c in self.conditions:
-            if c.relation == relation:
-                row = [_ZERO] * self.scenario.num_coords
-                for i, v in c.coeffs:
-                    row[i] = v
-                rows.append((row, c.rhs))
-        return rows
-
-    def eq_rows(self) -> list[tuple[list[Fraction], Fraction]]:
-        return self._dense_rows("eq")
-
-    def le_rows(self) -> list[tuple[list[Fraction], Fraction]]:
-        return self._dense_rows("le")
+    def eq_rows(self) -> list[tuple[tuple[tuple[int, Fraction], ...], Fraction]]:
+        return [(c.coeffs, c.rhs) for c in self.conditions if c.relation == "eq"]
 
     def violations(self, box: JointBox) -> list[str]:
         if box.scenario != self.scenario:
@@ -372,6 +359,11 @@ def box_from_json_dict(data) -> JointBox:
     entries = data.get("table")
     if not isinstance(entries, list):
         raise ValueError("box JSON: 'table' must be a list of cell objects")
+    # Every cell appears exactly once, so a shorter list is incomplete (and a
+    # longer one fails in the loop); this bounds the allocation by the input.
+    if len(entries) < scenario.num_coords:
+        raise ValueError(f"box JSON: incomplete table, {len(entries)} entries for "
+                         f"{scenario.num_coords} cells")
     table: list = [None] * scenario.num_coords
     for k, cell in enumerate(entries):
         if not isinstance(cell, dict):
@@ -393,9 +385,6 @@ def box_from_json_dict(data) -> JointBox:
             table[idx] = parse_rational(cell["p"])
         except ValueError as exc:
             raise ValueError(f"box JSON: table entry {k}: {exc}") from exc
-    absent = sum(1 for v in table if v is None)
-    if absent:
-        raise ValueError(f"box JSON: incomplete table, {absent} of {scenario.num_coords} cells missing")
     return JointBox(scenario, tuple(table))
 
 

@@ -321,9 +321,7 @@ def ns_program(arg: HardyArgument) -> LinearProgram:
     ineq = []
     p = arg.last_condition_bound
     for k, zset in enumerate(events.zeros):
-        row = [_ZERO] * n
-        for e in zset:
-            row[s.coord_index(*e)] = _ONE
+        row = [(i, _ONE) for i in sorted(s.coord_index(*e) for e in zset)]
         if p > 0 and k == 2:
             ineq.append((row, p))
         else:

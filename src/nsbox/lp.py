@@ -17,7 +17,9 @@ Programs have the fixed shape
                 x >= 0
 
 which is exactly what box-polytope problems need; general free variables are
-deliberately unsupported.
+deliberately unsupported. The objective is dense; each constraint row is
+sparse, (index, coeff) pairs as in ``LinearCondition.coeffs``, and stays
+sparse until the simplex tableau is built.
 """
 
 from __future__ import annotations
@@ -70,9 +72,10 @@ def as_exact(value) -> Fraction:
 class LinearProgram:
     """A rational LP in the fixed maximize / eq / le / nonneg shape.
 
-    Constraints are (row, rhs) pairs; rows must have num_vars entries. All
-    coefficients may be ints, Fractions, or rational strings; floats are
-    rejected during canonicalization.
+    Constraints are (row, rhs) pairs; a row is (index, coeff) tuples with
+    strictly increasing int indices in range(num_vars). All coefficients may
+    be ints, Fractions, or rational strings; canonicalization rejects floats,
+    malformed pairs and bad indices, and drops zero coefficients.
     """
 
     num_vars: int
@@ -81,7 +84,8 @@ class LinearProgram:
     ineq_constraints: Sequence = ()
 
     def canonical(self) -> tuple[list[Fraction], list, list]:
-        """Validate and return (objective, eq rows, ineq rows) as Fractions."""
+        """Validate and return (objective, eq rows, ineq rows) as Fractions;
+        a pair whose coefficient is already a Fraction is kept as it is."""
         if not isinstance(self.num_vars, int) or isinstance(self.num_vars, bool) or self.num_vars < 0:
             raise LpValidationError(f"num_vars must be a nonnegative integer, got {self.num_vars!r}")
         objective = [as_exact(v) for v in self.objective]
@@ -92,15 +96,24 @@ class LinearProgram:
         ineq = [self._canonical_row(pair, "ineq") for pair in self.ineq_constraints]
         return objective, eq, ineq
 
-    def _canonical_row(self, pair, kind: str) -> tuple[list[Fraction], Fraction]:
+    def _canonical_row(self, pair, kind: str) -> tuple[list[tuple[int, Fraction]], Fraction]:
         try:
             row, rhs = pair
         except (TypeError, ValueError) as exc:
             raise LpValidationError(f"{kind} constraint must be a (row, rhs) pair, got {pair!r}") from exc
-        coeffs = [as_exact(v) for v in row]
-        if len(coeffs) != self.num_vars:
-            raise LpValidationError(
-                f"{kind} row has {len(coeffs)} entries, expected num_vars={self.num_vars}")
+        coeffs, last = [], -1
+        for entry in row:
+            if type(entry) is not tuple or len(entry) != 2:
+                raise LpValidationError(f"{kind} row entry must be an (index, coeff) pair, got {entry!r}")
+            j, c = entry
+            if type(j) is not int or not last < j < self.num_vars:
+                raise LpValidationError(
+                    f"{kind} row index {j!r} is not an int above {last} below num_vars={self.num_vars}")
+            last = j
+            if type(c) is not Fraction:
+                entry = (j, as_exact(c))
+            if entry[1]:
+                coeffs.append(entry)
         return coeffs, as_exact(rhs)
 
     def to_json_dict(self) -> dict:
@@ -109,7 +122,8 @@ class LinearProgram:
 
         def encode(rows):
             return [
-                {"row": [format_rational(c) for c in coeffs], "rhs": format_rational(rhs)}
+                {"row": [format_rational(c) for c in _dense(coeffs, self.num_vars)],
+                 "rhs": format_rational(rhs)}
                 for coeffs, rhs in rows
             ]
 
@@ -132,6 +146,14 @@ class LpResult:
     solution: Optional[tuple[Fraction, ...]] = None
 
 
+def _dense(coeffs, width: int) -> list[Fraction]:
+    """A sparse row expanded to its width, zeros included."""
+    row = [_ZERO] * width
+    for j, c in coeffs:
+        row[j] = c
+    return row
+
+
 def _nonzeros(row: list[Fraction]) -> list[tuple[int, Fraction]]:
     """The (index, value) pairs of a row's nonzero entries."""
     return [(j, v) for j, v in enumerate(row) if v]
@@ -149,20 +171,20 @@ def _eliminate(target: list[Fraction], col: int, nonzero) -> None:
 class _Simplex:
     """Exact tableau with sparse-row pivots.
 
-    Rows are stored in full; a pivot subtracts only the pivot row's nonzero
-    columns. Columns: real variables, slacks, [artificials], rhs."""
+    The one place the sparse rows are expanded; a pivot subtracts only the
+    pivot row's nonzero columns. Columns: real variables, slacks,
+    [artificials], rhs."""
 
     def __init__(self, num_vars: int, eq, ineq):
         self.n = num_vars
-        nslack = len(ineq)
-        self.width = num_vars + nslack
+        self.width = num_vars + len(ineq)
         self.rows: list[list[Fraction]] = []
         self.basis: list[int] = []
         for coeffs, rhs in eq:
-            self.rows.append(coeffs + [_ZERO] * nslack + [rhs])
+            self.rows.append(_dense(coeffs, self.width) + [rhs])
             self.basis.append(-1)
         for k, (coeffs, rhs) in enumerate(ineq):
-            row = coeffs + [_ZERO] * nslack + [rhs]
+            row = _dense(coeffs, self.width) + [rhs]
             row[num_vars + k] = _ONE
             self.rows.append(row)
             self.basis.append(num_vars + k)
@@ -285,9 +307,10 @@ class _Simplex:
 def _presolve(num_vars: int, eq, ineq):
     """Exact reductions that keep the feasible set and every vertex.
 
-    Returns (keep, eq, ineq): the surviving variable indices in their original
-    order (so Bland's rule ranks them as before) and the rows restricted to
-    them, or None when the program is infeasible on its face.
+    Takes canonical sparse rows. Returns (keep, eq, ineq): the surviving
+    variable indices in their original order (so Bland's rule ranks them as
+    before) and the sparse rows restricted and renumbered to them, or None
+    when the program is infeasible on its face.
 
     - An equality with rhs 0 whose live coefficients share one sign forces
       those variables to 0 under x >= 0. Forcing some variables can leave a
@@ -297,7 +320,6 @@ def _presolve(num_vars: int, eq, ineq):
       <= row with rhs < 0 is infeasible.
     - An equality that repeats or negates an earlier one is dropped.
     """
-    eq = [(_nonzeros(coeffs), rhs) for coeffs, rhs in eq]
     forced = [False] * num_vars
     changed = True
     while changed:
@@ -316,12 +338,6 @@ def _presolve(num_vars: int, eq, ineq):
     def restrict(nonzero) -> tuple:
         return tuple((column[j], c) for j, c in nonzero if not forced[j])
 
-    def dense(pairs) -> list[Fraction]:
-        row = [_ZERO] * len(keep)
-        for k, c in pairs:
-            row[k] = c
-        return row
-
     reduced_eq = []
     seen = set()
     for nonzero, rhs in eq:
@@ -334,12 +350,12 @@ def _presolve(num_vars: int, eq, ineq):
         key = (pairs, rhs) if pairs[0][1] > 0 else (tuple((k, -c) for k, c in pairs), -rhs)
         if key not in seen:
             seen.add(key)
-            reduced_eq.append((dense(pairs), rhs))
+            reduced_eq.append((pairs, rhs))
     reduced_ineq = []
     for coeffs, rhs in ineq:
-        pairs = restrict(_nonzeros(coeffs))
+        pairs = restrict(coeffs)
         if pairs:
-            reduced_ineq.append((dense(pairs), rhs))
+            reduced_ineq.append((pairs, rhs))
         elif rhs < 0:
             return None
     return keep, reduced_eq, reduced_ineq
@@ -389,7 +405,7 @@ def feasible_above(lp: LinearProgram, bound) -> bool:
     must be feasible at bound v and infeasible at v + eps for any eps > 0.
     """
     objective, eq, ineq = lp.canonical()
-    cut = ([-c for c in objective], -as_exact(bound))
+    cut = ([(j, -c) for j, c in enumerate(objective) if c], -as_exact(bound))
     probe = LinearProgram(lp.num_vars, objective, eq, ineq + [cut])
     return check_feasible(probe)
 

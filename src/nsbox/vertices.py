@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .boxes import JointBox, Scenario, is_valid_box
+from .boxes import INPUT_PAIRS, JointBox, Scenario, is_valid_box
 from .lp import LinearProgram, LpStatus, solve_max
 
 __all__ = [
@@ -69,13 +69,8 @@ def local_vertex(scenario: Scenario, label) -> JointBox:
     """The deterministic box with affine-in-input answers over the first d outcomes."""
     a_slope, a_offset, b_slope, b_offset = _checked_label(scenario, label, 4)
     d = scenario.min_outputs
-
-    def prob(x, y, a, b):
-        if a == (a_slope * x + a_offset) % d and b == (b_slope * y + b_offset) % d:
-            return _ONE
-        return _ZERO
-
-    return JointBox.from_function(scenario, prob)
+    return deterministic_box(scenario, (a_offset, (a_slope + a_offset) % d),
+                             (b_offset, (b_slope + b_offset) % d))
 
 
 def nonlocal_entry_fn(scenario: Scenario, label) -> Callable[[int, int, int, int], Fraction]:
@@ -153,13 +148,15 @@ def deterministic_box(scenario: Scenario, alice_outputs, bob_outputs) -> JointBo
     return JointBox.from_function(scenario, prob)
 
 
-def _mixture_lp(columns: Sequence[JointBox], target: JointBox) -> LinearProgram:
-    """Feasibility program: convex weights over columns reproducing target."""
+def _mixture_lp(columns: Sequence[Sequence[tuple[int, Fraction]]], target: JointBox) -> LinearProgram:
+    """Feasibility program: convex weights over columns, each a candidate's
+    nonzero (coordinate index, probability) pairs, reproducing target."""
     n = len(columns)
-    eq = []
-    for i in range(target.scenario.num_coords):
-        eq.append(([col.table[i] for col in columns], target.table[i]))
-    eq.append(([_ONE] * n, _ONE))
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in target.table]
+    for k, column in enumerate(columns):
+        for i, v in column:
+            rows[i].append((k, v))
+    eq = list(zip(rows, target.table)) + [([(k, _ONE) for k in range(n)], _ONE)]
     return LinearProgram(n, [_ZERO] * n, eq, [])
 
 
@@ -175,21 +172,20 @@ def convex_decomposition(box: JointBox, candidates: Sequence[JointBox]) -> Optio
     for cand in candidates:
         if cand.scenario != box.scenario:
             raise ValueError("decomposition candidates must share the box's scenario")
-    result = solve_max(_mixture_lp(candidates, box))
-    if result.status is not LpStatus.OPTIMAL:
-        return None
-    return result.solution
+    columns = [[(i, v) for i, v in enumerate(cand.table) if v] for cand in candidates]
+    return solve_max(_mixture_lp(columns, box)).solution  # None unless OPTIMAL
 
 
 def is_local(box: JointBox) -> bool:
     """Exact locality decision: membership in the convex hull of all
-    deterministic strategies (full outcome ranges, not just the first d)."""
+    deterministic strategies (full outcome ranges, not just the first d),
+    each entering the mixture program as its four cells of weight 1."""
     report = is_valid_box(box)
     if not report:
         raise ValueError("invalid box: " + "; ".join(report.violations[:3]))
-    columns = [deterministic_box(box.scenario, fa, fb)
+    columns = [[(box.scenario.coord_index(x, y, fa[x], fb[y]), _ONE) for x, y in INPUT_PAIRS]
                for fa, fb in deterministic_strategies(box.scenario)]
-    return convex_decomposition(box, columns) is not None
+    return solve_max(_mixture_lp(columns, box)).status is LpStatus.OPTIMAL
 
 
 def embed(box: JointBox, target: Scenario) -> JointBox:

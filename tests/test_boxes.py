@@ -84,13 +84,12 @@ def test_normalization_rows():
     s = Scenario.symmetric(2)
     system = build_normalization(s)
     assert len(system.conditions) == 4
-    for (x, y), cond, (dense, rhs) in zip(INPUT_PAIRS, system.conditions, system.eq_rows()):
+    assert len(system.eq_rows()) == 4
+    for (x, y), cond, (row, rhs) in zip(INPUT_PAIRS, system.conditions, system.eq_rows()):
         assert cond.relation == "eq" and cond.rhs == 1 and rhs == 1
         block = [s.coord_index(x, y, a, b) for a in range(2) for b in range(2)]
         assert cond.coeffs == tuple((i, 1) for i in block)
-        assert len(dense) == s.num_coords
-        assert [i for i, c in enumerate(dense) if c == 1] == block
-        assert all(c in (0, 1) for c in dense)
+        assert row is cond.coeffs  # handed to the LP kernel as it is
     assert is_valid_box(uniform_box(Scenario.from_dims([2, 3, 4, 5]))).ok
 
 
@@ -218,6 +217,15 @@ def test_wire_strictness():
         box_from_json("{nope")
     with pytest.raises(ValueError):
         box_from_json_dict({"scenario": {"dA": [2, 2]}, "table": []})
+
+
+def test_huge_declared_scenario_is_refused_before_allocating():
+    # 4 * 10**12 declared cells against one table entry: refused as
+    # incomplete without building a table of the declared size
+    data = {"scenario": {"dA": [10**6, 10**6], "dB": [10**6, 10**6]},
+            "table": [{"x": 0, "y": 0, "a": 1, "b": 1, "p": "1"}]}
+    with pytest.raises(ValueError, match="incomplete table"):
+        box_from_json_dict(data)
 
 
 def test_tampered_box_still_loads():

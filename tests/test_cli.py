@@ -182,6 +182,17 @@ def test_verify_missing_and_malformed_files(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+def test_verify_refuses_huge_declared_scenario(capsys, tmp_path):
+    # 4 * 10**12 declared cells, one given: a clean error, not a MemoryError
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "scenario": {"dA": [10**6, 10**6], "dB": [10**6, 10**6]},
+        "table": [{"x": 0, "y": 0, "a": 1, "b": 1, "p": "1"}]}))
+    code, out, err = run(capsys, "verify", str(path), "--kind", "relaxed")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "incomplete table" in err
+
+
 # ---------------------------------------------------------------------------
 # pn
 

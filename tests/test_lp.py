@@ -6,6 +6,11 @@ Gaussian elimination (written here, not imported from the package), keep the
 feasible candidates, and take the best objective value. Generated programs
 always carry box bounds, so they are bounded and pointed and the oracle's
 candidate set provably contains an optimal vertex whenever one exists.
+
+Programs take sparse rows. Each test writes a row densely and passes it
+through ``sparse``, which keeps the zeros, so every program built here also
+exercises the kernel's dropping of zero coefficients; the oracle reads the
+dense rows.
 """
 
 import itertools
@@ -30,8 +35,19 @@ from nsbox.lp import _presolve
 F = Fraction
 
 
+def sparse(row):
+    """A dense row as (index, coeff) pairs, zeros kept."""
+    return tuple(enumerate(row))
+
+
+def program(num_vars, objective, eq=(), ineq=()):
+    """A LinearProgram from dense rows."""
+    return LinearProgram(num_vars, objective, [(sparse(r), b) for r, b in eq],
+                         [(sparse(r), b) for r, b in ineq])
+
+
 def test_single_bounded_variable():
-    lp = LinearProgram(1, [1], [], [([1], F(1, 2))])
+    lp = program(1, [1], [], [([1], F(1, 2))])
     res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL
     assert res.value == F(1, 2)
@@ -39,31 +55,31 @@ def test_single_bounded_variable():
 
 
 def test_split_between_two_variables():
-    lp = LinearProgram(2, [1, 0], [([1, 1], 1)], [([1, -1], 0)])
+    lp = program(2, [1, 0], [([1, 1], 1)], [([1, -1], 0)])
     res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL
     assert res.value == F(1, 2)
 
 
 def test_contradictory_rows_infeasible():
-    lp = LinearProgram(1, [1], [([1], 1)], [([1], F(1, 2))])
+    lp = program(1, [1], [([1], 1)], [([1], F(1, 2))])
     assert solve_max(lp).status is LpStatus.INFEASIBLE
 
 
 def test_check_feasible_basics():
-    assert check_feasible(LinearProgram(1, [0], [([1], 1)], []))
+    assert check_feasible(program(1, [0], [([1], 1)], []))
     # x = -1 contradicts x >= 0
-    assert not check_feasible(LinearProgram(1, [0], [([1], -1)], []))
+    assert not check_feasible(program(1, [0], [([1], -1)], []))
 
 
 def test_unbounded_detected():
-    assert solve_max(LinearProgram(1, [1])).status is LpStatus.UNBOUNDED
-    assert solve_max(LinearProgram(2, [1, 1], [([1, -1], 0)], [])).status is LpStatus.UNBOUNDED
+    assert solve_max(program(1, [1])).status is LpStatus.UNBOUNDED
+    assert solve_max(program(2, [1, 1], [([1, -1], 0)], [])).status is LpStatus.UNBOUNDED
 
 
 def test_degenerate_program_terminates():
     # Beale's classic cycling example; Bland's rule must still find 1/20.
-    lp = LinearProgram(
+    lp = program(
         4,
         [F(3, 4), -150, F(1, 50), -6],
         [],
@@ -77,7 +93,7 @@ def test_degenerate_program_terminates():
 
 
 def test_redundant_equalities_tolerated():
-    lp = LinearProgram(2, [1, 1], [([1, 1], 1), ([1, 1], 1), ([2, 2], 2)], [])
+    lp = program(2, [1, 1], [([1, 1], 1), ([1, 1], 1), ([2, 2], 2)], [])
     res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL
     assert res.value == 1
@@ -85,7 +101,7 @@ def test_redundant_equalities_tolerated():
 
 def test_negative_rhs_rows_handled():
     # -x1 <= -1 means x1 >= 1
-    lp = LinearProgram(1, [-1], [], [([-1], -1)])
+    lp = program(1, [-1], [], [([-1], -1)])
     res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL
     assert res.value == -1
@@ -94,30 +110,53 @@ def test_negative_rhs_rows_handled():
 
 def test_float_coefficients_rejected():
     with pytest.raises(LpValidationError):
-        solve_max(LinearProgram(1, [0.5]))
+        solve_max(program(1, [0.5]))
     with pytest.raises(LpValidationError):
-        solve_max(LinearProgram(1, [1], [([1], 0.5)], []))
+        solve_max(program(1, [1], [([1], 0.5)], []))
     with pytest.raises(LpValidationError):
-        solve_max(LinearProgram(1, [1], [], [([0.25], 1)]))
+        solve_max(program(1, [1], [], [([0.25], 1)]))
 
 
 def test_shape_validation():
     with pytest.raises(LpValidationError):
-        solve_max(LinearProgram(2, [1]))
+        solve_max(program(2, [1]))
     with pytest.raises(LpValidationError):
-        solve_max(LinearProgram(2, [1, 0], [([1], 1)], []))
-    with pytest.raises(LpValidationError):
-        solve_max(LinearProgram(-1, []))
+        solve_max(program(-1, []))
+    bad_rows = {
+        "out of range": ((0, 1), (2, 1)),
+        "negative": ((-1, 1),),
+        "repeated": ((0, 1), (0, 1)),
+        "decreasing": ((1, 1), (0, 1)),
+        "bool index": ((True, 1),),
+        "not a pair": ((0, 1), (1,)),
+        "not a tuple": ([0, 1],),
+        "bare coefficient": (1, 0),
+    }
+    for row in bad_rows.values():
+        for lp in (LinearProgram(2, [1, 0], [(row, 1)], []),
+                   LinearProgram(2, [1, 0], [], [(row, 1)])):
+            with pytest.raises(LpValidationError):
+                solve_max(lp)
+            with pytest.raises(LpValidationError):
+                lp.canonical()
     # x >= 0 is the only shape, so there is no nonneg switch to turn off
     with pytest.raises(TypeError):
         LinearProgram(1, [1], nonneg=False)
+
+
+def test_canonical_drops_zeros_and_keeps_fraction_pairs():
+    one, half = (0, F(1)), (2, F(1, 2))
+    lp = LinearProgram(3, [1, 0, 0], [((one, (1, 0), half), 1)], [(((1, F(0)), (2, "3")), 2)])
+    _, eq, ineq = lp.canonical()
+    assert eq == [([one, half], F(1))] and ineq == [([(2, F(3))], F(2))]
+    assert eq[0][0][0] is one and eq[0][0][1] is half
 
 
 def test_validation_error_is_not_a_status():
     # Ill-posed input raises; it must never masquerade as INFEASIBLE.
     assert issubclass(LpValidationError, ValueError)
     try:
-        solve_max(LinearProgram(1, [0.5]))
+        solve_max(program(1, [0.5]))
     except LpValidationError:
         pass
     else:  # pragma: no cover
@@ -125,7 +164,7 @@ def test_validation_error_is_not_a_status():
 
 
 def test_rational_strings_accepted():
-    lp = LinearProgram(1, ["1"], [], [(["1"], "1/2")])
+    lp = program(1, ["1"], [], [(["1"], "1/2")])
     assert solve_max(lp).value == F(1, 2)
 
 
@@ -140,7 +179,7 @@ def test_coerce_rational_returns_a_fraction_as_it_is():
 
 
 def test_duality_spot_check_helper():
-    lp = LinearProgram(2, [1, 1], [([1, 2], 2)], [([1, 0], 1)])
+    lp = program(2, [1, 1], [([1, 2], 2)], [([1, 0], 1)])
     res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL
     assert feasible_above(lp, res.value)
@@ -151,44 +190,45 @@ def test_presolve_forces_zeros_through_mixed_sign_row():
     # -x1 + x2 = 0 is mixed-signed until x0 + x1 = 0 forces x1, then it forces x2
     eq = [([0, -1, 1, 0], 0), ([1, 1, 0, 0], 0)]
     ineq = [([0, 0, 0, 1], 2)]
-    keep, red_eq, red_ineq = _presolve(4, [(list(map(F, r)), F(b)) for r, b in eq],
-                                       [(list(map(F, r)), F(b)) for r, b in ineq])
-    assert keep == [3] and red_eq == [] and red_ineq == [([F(1)], F(2))]
-    res = solve_max(LinearProgram(4, [1, 1, 1, 1], eq, ineq))
+    lp = program(4, [1, 1, 1, 1], eq, ineq)
+    keep, red_eq, red_ineq = _presolve(4, *lp.canonical()[1:])
+    assert keep == [3] and red_eq == [] and red_ineq == [(((0, F(1)),), F(2))]
+    res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL and res.value == 2
     assert res.solution == (0, 0, 0, 2)
 
 
 def test_presolve_empty_rows_decide_infeasibility():
-    empty_eq = LinearProgram(2, [1, 0], [([0, 0], 1)], [([1, 1], 1)])
+    empty_eq = program(2, [1, 0], [([0, 0], 1)], [([1, 1], 1)])
     # x0 = 0 is forced, which leaves x0 = 1 an empty row with rhs 1
-    emptied_eq = LinearProgram(2, [0, 1], [([1, 0], 0), ([1, 0], 1)], [([0, 1], 1)])
-    empty_ineq = LinearProgram(2, [1, 1], [], [([0, 0], -1), ([1, 1], 1)])
+    emptied_eq = program(2, [0, 1], [([1, 0], 0), ([1, 0], 1)], [([0, 1], 1)])
+    empty_ineq = program(2, [1, 1], [], [([0, 0], -1), ([1, 1], 1)])
     for lp in (empty_eq, emptied_eq, empty_ineq):
         assert solve_max(lp).status is LpStatus.INFEASIBLE
         assert not check_feasible(lp)
     # an empty <= row with rhs >= 0 is just dropped
-    res = solve_max(LinearProgram(1, [1], [], [([0], 0), ([1], 1)]))
+    res = solve_max(program(1, [1], [], [([0], 0), ([1], 1)]))
     assert res.status is LpStatus.OPTIMAL and res.value == 1
 
 
 def test_presolve_drops_repeated_and_negated_equalities():
     eq = [([F(1), F(-1)], F(1)), ([F(-1), F(1)], F(-1)), ([F(1), F(-1)], F(1)),
           ([F(1), F(1)], F(3))]
-    keep, red_eq, _ = _presolve(2, eq, [])
+    lp = program(2, [0, 1], eq, [])
+    keep, red_eq, _ = _presolve(2, *lp.canonical()[1:])
     assert keep == [0, 1]
-    assert red_eq == [([F(1), F(-1)], F(1)), ([F(1), F(1)], F(3))]
-    res = solve_max(LinearProgram(2, [0, 1], eq, []))
+    assert red_eq == [(((0, F(1)), (1, F(-1))), F(1)), (((0, F(1)), (1, F(1))), F(3))]
+    res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL and res.solution == (2, 1)
 
 
 def test_feasibility_helpers_agree_with_solve_max():
     programs = [
-        LinearProgram(4, [1, 1, 1, 1], [([0, -1, 1, 0], 0), ([1, 1, 0, 0], 0)],
+        program(4, [1, 1, 1, 1], [([0, -1, 1, 0], 0), ([1, 1, 0, 0], 0)],
                       [([0, 0, 0, 1], 2)]),
-        LinearProgram(2, [0, 1], [([1, -1], 1), ([-1, 1], -1)], [([1, 1], 5)]),
-        LinearProgram(2, [0, 1], [([1, 0], 0), ([1, 0], 1)], [([0, 1], 1)]),
-        LinearProgram(3, [1, 2, 3], [([1, 1, 1], 1), ([0, 1, -1], 0)], []),
+        program(2, [0, 1], [([1, -1], 1), ([-1, 1], -1)], [([1, 1], 5)]),
+        program(2, [0, 1], [([1, 0], 0), ([1, 0], 1)], [([0, 1], 1)]),
+        program(3, [1, 2, 3], [([1, 1, 1], 1), ([0, 1, -1], 0)], []),
     ]
     for lp in programs:
         res = solve_max(lp)
@@ -199,7 +239,7 @@ def test_feasibility_helpers_agree_with_solve_max():
 
 
 def test_to_json_dict_wire_format():
-    lp = LinearProgram(2, [1, F(-1, 2)], [([1, 1], 1)], [([0, 1], F(3, 4))])
+    lp = program(2, [1, F(-1, 2)], [([1, 1], 1)], [([0, 1], F(3, 4))])
     data = lp.to_json_dict()
     assert data["objective"] == ["1/1", "-1/2"]
     assert data["eq_constraints"] == [{"row": ["1/1", "1/1"], "rhs": "1/1"}]
@@ -301,9 +341,14 @@ def _program_strategy(draw):
 @given(st.data())
 def test_random_programs_match_brute_force(data):
     n, objective, eq, ineq = _program_strategy(data.draw)
-    lp = LinearProgram(n, objective, eq, ineq)
+    lp = program(n, objective, eq, ineq)
     res = solve_max(lp)
     oracle = _brute_force_max(n, objective, eq, ineq)
+
+    # the kernel drops the zeros that sparse() kept, and nothing else
+    _, canon_eq, canon_ineq = lp.canonical()
+    for canon, dense in ((canon_eq, eq), (canon_ineq, ineq)):
+        assert canon == [([(j, c) for j, c in enumerate(row) if c], rhs) for row, rhs in dense]
 
     assert check_feasible(lp) == (oracle is not None)
     if oracle is None:

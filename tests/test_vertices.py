@@ -232,6 +232,24 @@ def test_convex_decomposition_positive_control():
     assert tuple(rebuilt) == u.table
 
 
+# Nonzero weights of the uniform box over the deterministic boxes, taken in
+# deterministic_strategies order; every other weight is exactly 0.
+GOLDEN_UNIFORM_WEIGHTS = {
+    2: {5: F(1, 4), 6: F(1, 4), 9: F(1, 4), 10: F(1, 4)},
+    3: {i: F(1, 9) for i in (20, 22, 24, 38, 40, 42, 56, 58, 60)},
+}
+
+
+def test_convex_decomposition_weights_are_golden():
+    # pins the mixture program's row and column order: a reordering moves
+    # Bland's pivot path and so the basic solution returned
+    for d, nonzero in GOLDEN_UNIFORM_WEIGHTS.items():
+        s = Scenario.symmetric(d)
+        candidates = [deterministic_box(s, fa, fb) for fa, fb in deterministic_strategies(s)]
+        expected = tuple(nonzero.get(k, F(0)) for k in range(len(candidates)))
+        assert convex_decomposition(uniform_box(s), candidates) == expected
+
+
 def test_convex_decomposition_scenario_mismatch():
     with pytest.raises(ValueError):
         convex_decomposition(uniform_box(Scenario.symmetric(2)),
