@@ -274,10 +274,10 @@ def _mass(entry, cells) -> Fraction:
 def _violation(entry, events: ArgumentEvents, p: Fraction) -> Optional[ArgumentNotSatisfied]:
     """The first of the argument's conditions that entry (a function
     (x, y, a, b) -> probability) breaks, as an ArgumentNotSatisfied to raise,
-    or None when all hold. The one check of conditions against a box, a
-    deterministic strategy or a congruence vertex. A broken zero condition is
-    reported at its first nonzero event in coordinate order; with p > 0 the
-    third condition is a bounded sum."""
+    or None when all hold. The one check of conditions against a box or a
+    congruence vertex. A broken zero condition is reported at its first
+    nonzero event in coordinate order; with p > 0 the third condition is a
+    bounded sum."""
     for k, zset in enumerate(events.zeros):
         if p > 0 and k == 2:
             total = _mass(entry, zset)
@@ -352,17 +352,18 @@ def max_success_lhv(arg: HardyArgument) -> OptimizationReport:
 
     This is a plain exhaustive enumeration, kept deliberately independent of
     the LP kernel so the two optimization routes can cross-check each other.
+    A strategy is 1 on one cell per input pair and 0 elsewhere, so only
+    those four cells are looked up in the event sets.
     """
     if arg.last_condition_bound != 0:
         raise ValueError("the local-realistic route only handles p = 0 arguments")
     events = argument_events(arg)
+    zeros = frozenset().union(*events.zeros)
     best = None
     for alice_fn, bob_fn in deterministic_strategies(arg.scenario):
-        def entry(x, y, a, b):
-            return _ONE if a == alice_fn[x] and b == bob_fn[y] else _ZERO
-
-        if _violation(entry, events, _ZERO) is None:
-            val = _mass(entry, events.success)
+        cells = [(x, y, alice_fn[x], bob_fn[y]) for x in (0, 1) for y in (0, 1)]
+        if not any(e in zeros for e in cells):
+            val = Fraction(sum(e in events.success for e in cells))
             if best is None or val > best[0]:
                 best = (val, alice_fn, bob_fn)
     if best is None:

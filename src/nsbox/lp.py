@@ -1,12 +1,12 @@
 """Exact linear programming over the rationals.
 
 An exact presolve (variables forced to zero, empty and duplicate rows
-dropped) followed by a two-phase primal simplex on a tableau of
-``fractions.Fraction`` entries. Each pivot touches only the columns where the
-pivot row is nonzero. Bland's pivoting rule is used in both phases, so
-degenerate programs terminate without cycling. There is no floating-point
-code path: coefficients are validated to be exact (ints, Fractions, or
-rational strings) and every result is an exact rational. Optimal solutions are
+dropped) followed by a two-phase primal simplex on a tableau of int rows.
+Each pivot touches only the columns where the pivot row is nonzero. Bland's
+pivoting rule is used in both phases, so degenerate programs terminate
+without cycling. There is no floating-point code path: coefficients are
+validated to be exact (ints, Fractions, or rational strings) and every result
+is an exact ``fractions.Fraction``. Optimal solutions are
 basic feasible solutions, i.e. vertices of the feasible region.
 
 Programs have the fixed shape
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .rationals import coerce_rational, format_rational
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LpValidationError(ValueError):
@@ -154,69 +154,92 @@ def _dense(coeffs, width: int) -> list[Fraction]:
     return row
 
 
-def _nonzeros(row: list[Fraction]) -> list[tuple[int, Fraction]]:
-    """The (index, value) pairs of a row's nonzero entries."""
-    return [(j, v) for j, v in enumerate(row) if v]
+def _integer_row(values) -> list[int]:
+    """Rationals scaled by the lcm of their denominators, as ints."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _eliminate(target: list[Fraction], col: int, nonzero) -> None:
-    """Subtract target[col] times a pivot row, given as its (j, value)
-    nonzeros, from target in place; the pivot row's zeros cost nothing."""
-    f = target[col]
-    if f:
-        for j, v in nonzero:
-            target[j] -= f * v
+def _cancel(target: list[int], col: int, pivot, piv: int) -> list[int]:
+    """piv * target - target[col] * pivot, both factors divided by their gcd,
+    then by the gcd of its entries; pivot is a row's nonzero (j, v) pairs and
+    piv its entry in col. For piv > 0, a positive multiple of the rational
+    update target - target[col] / piv * pivot. May reuse target's list."""
+    t = target[col]
+    g = gcd(piv, t)
+    scale, t = piv // g, t // g
+    row = target if scale == 1 else [scale * v for v in target]
+    for j, v in pivot:
+        row[j] -= t * v
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 class _Simplex:
-    """Exact tableau with sparse-row pivots.
+    """Exact integer tableau with sparse-row pivots.
 
-    The one place the sparse rows are expanded; a pivot subtracts only the
-    pivot row's nonzero columns. Columns: real variables, slacks,
-    [artificials], rhs."""
+    The one place the sparse rows are expanded. Each row is ints with no
+    common factor, the rational tableau row times the row's entry in its
+    basic column (> 0), so only the rational row's signs and ratios are
+    kept, and they are all Bland's rule reads: the ratio test compares
+    rhs_i / a_i by cross-multiplying, and the pivots are those of a Fraction
+    tableau. Columns: real variables, slacks, [artificials], rhs."""
 
     def __init__(self, num_vars: int, eq, ineq):
         self.n = num_vars
-        self.width = num_vars + len(ineq)
-        self.rows: list[list[Fraction]] = []
+        self.width = width = num_vars + len(ineq)
+        constraints = [(coeffs, rhs, -1) for coeffs, rhs in eq]
+        constraints += [(coeffs, rhs, num_vars + k) for k, (coeffs, rhs) in enumerate(ineq)]
+        # A row with rhs < 0 is negated so phase one can start from b >= 0,
+        # and loses its basic slack. Each row without one gets an artificial
+        # column, basic in it, which phase one drives to zero.
+        artificial = width
+        total = width + sum(1 for _, rhs, slack in constraints if slack < 0 or rhs < 0) + 1
+        self.rows: list[list[int]] = []
         self.basis: list[int] = []
-        for coeffs, rhs in eq:
-            self.rows.append(_dense(coeffs, self.width) + [rhs])
-            self.basis.append(-1)
-        for k, (coeffs, rhs) in enumerate(ineq):
-            row = _dense(coeffs, self.width) + [rhs]
-            row[num_vars + k] = _ONE
-            self.rows.append(row)
-            self.basis.append(num_vars + k)
-        # Flip rows with negative rhs so phase one can start from b >= 0.
-        # A flipped slack row loses its basic slack (coefficient becomes -1).
-        for i, row in enumerate(self.rows):
-            if row[-1] < 0:
-                self.rows[i] = [-v for v in row]
-                self.basis[i] = -1
+        for coeffs, rhs, slack in constraints:
+            scale = lcm(rhs.denominator, *(c.denominator for _, c in coeffs))
+            if rhs < 0:
+                scale = -scale
+            row = [0] * total
+            for j, c in coeffs:
+                row[j] = c.numerator * (scale // c.denominator)
+            row[-1] = rhs.numerator * (scale // rhs.denominator)
+            if slack >= 0:
+                row[slack] = scale
+            if slack < 0 or scale < 0:
+                slack = artificial
+                row[slack] = abs(scale)
+                artificial += 1
+            g = gcd(*row)
+            self.rows.append([v // g for v in row] if g > 1 else row)
+            self.basis.append(slack)
 
-    def _pivot(self, r: int, col: int, obj: Optional[list[Fraction]]) -> None:
+    def _pivot(self, r: int, col: int, obj: Optional[list[int]]) -> Optional[list[int]]:
+        """Make col basic in row r; returns obj, the objective row, updated."""
         row = self.rows[r]
         piv = row[col]
-        if piv != 1:
-            row = [v / piv for v in row]
-            self.rows[r] = row
-        nonzero = _nonzeros(row)
+        if piv < 0:
+            row = self.rows[r] = [-v for v in row]
+            piv = -piv
+        pivot = [(j, v) for j, v in enumerate(row) if v]
         for i, other in enumerate(self.rows):
-            if i != r:
-                _eliminate(other, col, nonzero)
-        if obj is not None:
-            _eliminate(obj, col, nonzero)
+            if i != r and other[col]:
+                self.rows[i] = _cancel(other, col, pivot, piv)
         self.basis[r] = col
+        if obj is not None and obj[col]:
+            obj = _cancel(obj, col, pivot, piv)
+        return obj
 
-    def _bland(self, obj: list[Fraction]) -> bool:
+    def _bland(self, obj: list[int]) -> bool:
         """Pivot until no reduced cost is positive. False means unbounded.
 
         Bland's rule: entering column is the smallest eligible index; leaving
-        row minimizes the ratio, ties broken by smallest basis index. This
-        guarantees termination under degeneracy.
+        row minimizes the ratio rhs_i / a_i, compared as rhs_i * a_k <
+        rhs_k * a_i, ties broken by smallest basis index. This guarantees
+        termination under degeneracy.
         """
-        width = self.width
+        width, basis = self.width, self.basis
         while True:
             col = -1
             for j in range(width):
@@ -226,52 +249,49 @@ class _Simplex:
             if col < 0:
                 return True
             pick = -1
-            best = None
             for i, row in enumerate(self.rows):
                 a = row[col]
                 if a > 0:
-                    key = (row[-1] / a, self.basis[i])
-                    if best is None or key < best:
-                        best, pick = key, i
+                    if pick >= 0:
+                        lhs, rhs = row[-1] * best_a, best_rhs * a
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[pick]):
+                            continue
+                    pick, best_rhs, best_a = i, row[-1], a
             if pick < 0:
                 return False
-            self._pivot(pick, col, obj)
+            obj = self._pivot(pick, col, obj)
 
     def phase_one(self) -> bool:
         """Find a basic feasible solution; False means infeasible.
 
-        Rows without a basic slack get an explicit artificial variable whose
+        Rows without a basic slack carry an explicit artificial variable whose
         total is then minimized (no elimination shortcut). Artificials never
         re-enter: the entering scan stops at self.width.
         """
-        need = [i for i, b in enumerate(self.basis) if b < 0]
+        width, basis = self.width, self.basis
+        need = [i for i, b in enumerate(basis) if b >= width]
         if not need:
             return True
-        for row in self.rows:
-            row[-1:-1] = [_ZERO] * len(need)
-        for k, i in enumerate(need):
-            self.rows[i][self.width + k] = _ONE
-            self.basis[i] = self.width + k
         # Phase-one objective: maximize -(sum of artificials). In reduced form
         # over the current basis that is the column-wise sum of the rows that
-        # carry artificials (their own columns contribute zero cost).
-        obj = [_ZERO] * (self.width + len(need) + 1)
+        # carry artificials (their own columns contribute zero cost), here
+        # each over its basic entry, times the lcm of those entries.
+        common = lcm(*(self.rows[i][basis[i]] for i in need))
+        obj = [0] * len(self.rows[0])
         for i in need:
             row = self.rows[i]
-            for j in range(self.width):
+            f = common // row[basis[i]]
+            for j in range(width):
                 v = row[j]
                 if v:
-                    obj[j] += v
+                    obj[j] += f * v
         self._bland(obj)  # bounded by construction, cannot return False
-        residue = _ZERO
-        for i, b in enumerate(self.basis):
-            if b >= self.width:
-                residue += self.rows[i][-1]
-        if residue != 0:
+        # basic values are >= 0, so the artificials sum to 0 iff each is 0
+        if any(self.rows[i][-1] for i, b in enumerate(basis) if b >= width):
             return False
         self._drive_out_artificials()
         for i, row in enumerate(self.rows):
-            self.rows[i] = row[: self.width] + [row[-1]]
+            self.rows[i] = row[:width] + [row[-1]]
         return True
 
     def _drive_out_artificials(self) -> None:
@@ -290,17 +310,19 @@ class _Simplex:
             del self.basis[i]
 
     def phase_two(self, objective: list[Fraction]) -> bool:
-        obj = list(objective) + [_ZERO] * (self.width - self.n) + [_ZERO]
+        obj = _integer_row(objective) + [0] * (self.width - self.n + 1)
         for i, bcol in enumerate(self.basis):
             if obj[bcol]:
-                _eliminate(obj, bcol, _nonzeros(self.rows[i]))
+                row = self.rows[i]
+                obj = _cancel(obj, bcol, [(j, v) for j, v in enumerate(row) if v], row[bcol])
         return self._bland(obj)
 
     def solution(self) -> list[Fraction]:
         x = [_ZERO] * self.n
         for i, bcol in enumerate(self.basis):
             if bcol < self.n:
-                x[bcol] = self.rows[i][-1]
+                row = self.rows[i]
+                x[bcol] = Fraction(row[-1], row[bcol])
         return x
 
 
@@ -413,28 +435,23 @@ def feasible_above(lp: LinearProgram, bound) -> bool:
 def exact_rank(rows) -> int:
     """Rank of a rational matrix, by incremental exact elimination.
 
-    Each incoming row is reduced against the echelon basis accumulated so
-    far; a nonzero remainder joins the basis. Cost scales with rank, not with
+    Each incoming row, scaled to ints, is reduced against the echelon basis
+    accumulated so far with the simplex's integer elimination; a nonzero
+    remainder joins the basis. Cost scales with rank, not with
     the row count squared.
     """
-    basis: list[list[Fraction]] = []
-    lead: list[int] = []
+    basis = []  # (lead column, its entry, the row's nonzero pairs)
     width = None
     for raw in rows:
-        vec = [as_exact(v) for v in raw]
+        vec = _integer_row([as_exact(v) for v in raw])
         if width is None:
             width = len(vec)
         elif len(vec) != width:
             raise LpValidationError("ragged matrix: rows differ in length")
-        for prow, lj in zip(basis, lead):
-            f = vec[lj]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, prow)]
-        j = next((k for k, v in enumerate(vec) if v != 0), -1)
+        for lj, piv, pivot in basis:
+            if vec[lj]:
+                vec = _cancel(vec, lj, pivot, piv)
+        j = next((k for k, v in enumerate(vec) if v), -1)
         if j >= 0:
-            piv = vec[j]
-            if piv != 1:
-                vec = [v / piv for v in vec]
-            basis.append(vec)
-            lead.append(j)
+            basis.append((j, vec[j], [(k, v) for k, v in enumerate(vec) if v]))
     return len(basis)

@@ -4,6 +4,7 @@ Run with -v to get one pass/fail line per criterion; each test also prints an
 explicit ACCEPTANCE line on success.
 """
 
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -151,6 +152,9 @@ def test_criterion_8_every_generated_box_is_valid():
           "normalization, and no-signaling exactly")
 
 
+SWEEP_2_10_SHA256 = "9101e0f536b7aea6293cdc138cc9eeb8ebc7c2b0a59263a0c90c949b1810b779"
+
+
 def test_criterion_9_sweep_is_byte_deterministic(tmp_path):
     first = tmp_path / "sweep1.csv"
     second = tmp_path / "sweep2.csv"
@@ -158,9 +162,12 @@ def test_criterion_9_sweep_is_byte_deterministic(tmp_path):
     assert cli_main(["sweep", "--d-min", "2", "--d-max", "10", "--out", str(second)]) == 0
     blob = first.read_bytes()
     assert blob == second.read_bytes()
+    # recorded from the Fraction simplex tableau; equal to the stdout's sha256
+    assert hashlib.sha256(blob).hexdigest() == SWEEP_2_10_SHA256
     lines = blob.decode("ascii").strip().split("\n")
     assert len(lines) == 10  # header + d = 2..10
     assert lines[1].startswith("2,1/2,1/2,1/2,")
     assert lines[5].startswith("6,1/2,5/6,1/6,")
     assert lines[9].startswith("10,1/2,9/10,1/10,")
-    print("\nACCEPTANCE 9 PASS: sweep --d-min 2 --d-max 10 byte-identical across runs")
+    print("\nACCEPTANCE 9 PASS: sweep --d-min 2 --d-max 10 byte-identical across runs and to its "
+          "recorded sha256")

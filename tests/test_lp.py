@@ -11,9 +11,13 @@ Programs take sparse rows. Each test writes a row densely and passes it
 through ``sparse``, which keeps the zeros, so every program built here also
 exercises the kernel's dropping of zero coefficients; the oracle reads the
 dense rows.
+
+The integer simplex tableau is also checked against a reference Fraction
+tableau kept below: same results through the same pivots.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,12 +28,20 @@ from nsbox import (
     LpResult,
     LpStatus,
     LpValidationError,
+    Relabeling,
+    Scenario,
+    build_argument,
+    is_local,
+    nonlocal_vertex,
+    ns_program,
+    uniform_box,
     check_feasible,
     exact_rank,
     feasible_above,
     coerce_rational,
     solve_max,
 )
+from nsbox import lp as lp_module
 from nsbox.lp import _presolve
 
 F = Fraction
@@ -312,18 +324,25 @@ def _brute_force_max(num_vars, objective, eq, ineq):
     return best
 
 
-_coeff = st.integers(min_value=-3, max_value=3)
+# integers, and fractions with mixed denominators, so the tableau's scaling of
+# each row to ints sees denominators that differ within a row
+_coeff = st.one_of(st.integers(min_value=-3, max_value=3).map(Fraction),
+                   st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                             st.sampled_from([2, 3, 4, 5, 6])))
 
 
 def _program_strategy(draw):
     n = draw(st.integers(min_value=1, max_value=3))
-    objective = [Fraction(draw(_coeff)) for _ in range(n)]
+    objective = [draw(_coeff) for _ in range(n)]
     eq = []
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        eq.append(([Fraction(draw(_coeff)) for _ in range(n)], Fraction(draw(_coeff))))
+        eq.append(([draw(_coeff) for _ in range(n)], draw(_coeff)))
     ineq = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        ineq.append(([Fraction(draw(_coeff)) for _ in range(n)], Fraction(draw(_coeff))))
+        ineq.append(([draw(_coeff) for _ in range(n)], draw(_coeff)))
+    if draw(st.booleans()):  # a lower bound, -row . x <= -q: the tableau flips it
+        q = draw(st.builds(Fraction, st.integers(1, 9), st.sampled_from([1, 2, 3, 4])))
+        ineq.append(([-Fraction(draw(st.integers(0, 2))) for _ in range(n)], -q))
     if draw(st.booleans()):  # one-signed rhs-0 row: the presolve forces zeros
         sign = draw(st.sampled_from([1, -1]))
         eq.append(([Fraction(sign * draw(st.integers(0, 2))) for _ in range(n)], Fraction(0)))
@@ -377,3 +396,180 @@ def test_random_programs_match_brute_force(data):
     assert not feasible_above(lp, res.value + Fraction(1, 7))
     again = solve_max(lp)
     assert (again.status, again.value, again.solution) == (res.status, res.value, res.solution)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the integer tableau against a Fraction tableau
+
+
+def _fraction_dense(coeffs, width):
+    row = [Fraction(0)] * width
+    for j, c in coeffs:
+        row[j] = c
+    return row
+
+
+def _fraction_eliminate(target, col, nonzero):
+    f = target[col]
+    if f:
+        for j, v in nonzero:
+            target[j] -= f * v
+
+
+class FractionSimplex:
+    """Reference: the simplex tableau of Fraction entries that the integer
+    tableau replaced, kept here verbatim in its arithmetic (divide the pivot
+    row by the pivot, subtract multiples of it, Bland's rule on Fraction
+    ratio keys)."""
+
+    def __init__(self, num_vars, eq, ineq):
+        self.n = num_vars
+        self.width = num_vars + len(ineq)
+        self.rows = []
+        self.basis = []
+        for coeffs, rhs in eq:
+            self.rows.append(_fraction_dense(coeffs, self.width) + [rhs])
+            self.basis.append(-1)
+        for k, (coeffs, rhs) in enumerate(ineq):
+            row = _fraction_dense(coeffs, self.width) + [rhs]
+            row[num_vars + k] = Fraction(1)
+            self.rows.append(row)
+            self.basis.append(num_vars + k)
+        for i, row in enumerate(self.rows):
+            if row[-1] < 0:
+                self.rows[i] = [-v for v in row]
+                self.basis[i] = -1
+
+    def _pivot(self, r, col, obj):
+        row = self.rows[r]
+        piv = row[col]
+        if piv != 1:
+            row = [v / piv for v in row]
+            self.rows[r] = row
+        nonzero = [(j, v) for j, v in enumerate(row) if v]
+        for i, other in enumerate(self.rows):
+            if i != r:
+                _fraction_eliminate(other, col, nonzero)
+        if obj is not None:
+            _fraction_eliminate(obj, col, nonzero)
+        self.basis[r] = col
+
+    def _bland(self, obj):
+        while True:
+            col = next((j for j in range(self.width) if obj[j] > 0), -1)
+            if col < 0:
+                return True
+            pick, best = -1, None
+            for i, row in enumerate(self.rows):
+                a = row[col]
+                if a > 0:
+                    key = (row[-1] / a, self.basis[i])
+                    if best is None or key < best:
+                        best, pick = key, i
+            if pick < 0:
+                return False
+            self._pivot(pick, col, obj)
+
+    def phase_one(self):
+        need = [i for i, b in enumerate(self.basis) if b < 0]
+        if not need:
+            return True
+        for row in self.rows:
+            row[-1:-1] = [Fraction(0)] * len(need)
+        for k, i in enumerate(need):
+            self.rows[i][self.width + k] = Fraction(1)
+            self.basis[i] = self.width + k
+        obj = [Fraction(0)] * (self.width + len(need) + 1)
+        for i in need:
+            for j in range(self.width):
+                obj[j] += self.rows[i][j]
+        self._bland(obj)
+        residue = sum((self.rows[i][-1] for i, b in enumerate(self.basis) if b >= self.width),
+                      Fraction(0))
+        if residue != 0:
+            return False
+        drop = []
+        for i in range(len(self.rows)):
+            if self.basis[i] >= self.width:
+                row = self.rows[i]
+                col = next((j for j in range(self.width) if row[j] != 0), -1)
+                if col < 0:
+                    drop.append(i)
+                else:
+                    self._pivot(i, col, None)
+        for i in reversed(drop):
+            del self.rows[i]
+            del self.basis[i]
+        for i, row in enumerate(self.rows):
+            self.rows[i] = row[: self.width] + [row[-1]]
+        return True
+
+    def phase_two(self, objective):
+        obj = list(objective) + [Fraction(0)] * (self.width - self.n + 1)
+        for i, bcol in enumerate(self.basis):
+            _fraction_eliminate(obj, bcol, [(j, v) for j, v in enumerate(self.rows[i]) if v])
+        return self._bland(obj)
+
+    def solution(self):
+        x = [Fraction(0)] * self.n
+        for i, bcol in enumerate(self.basis):
+            if bcol < self.n:
+                x[bcol] = self.rows[i][-1]
+        return x
+
+
+def traced(simplex, fn, *args):
+    """fn(*args) with lp's simplex swapped for the tableau class simplex,
+    and the (row, column) sequence of the pivots it made."""
+    pivots = []
+
+    class Traced(simplex):
+        def _pivot(self, r, col, obj):
+            pivots.append((r, col))
+            return super()._pivot(r, col, obj)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_Simplex", Traced)
+        return fn(*args), pivots
+
+
+def same_as_fraction_tableau(fn, *args):
+    """fn(*args) gives the same result through the same pivots, in both
+    phases, on the integer tableau as on the Fraction reference; returns it."""
+    result, pivots = traced(lp_module._Simplex, fn, *args)
+    assert (result, pivots) == traced(FractionSimplex, fn, *args)
+    return result
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_random_programs_match_fraction_tableau(data):
+    n, objective, eq, ineq = _program_strategy(data.draw)
+    lp = program(n, objective, eq, ineq)
+    same_as_fraction_tableau(solve_max, lp)
+    same_as_fraction_tableau(check_feasible, lp)
+
+
+def seeded_relabeling(s, seed):
+    rng = random.Random(seed)
+
+    def perms(counts):
+        return tuple(tuple(rng.sample(range(n), n)) for n in counts)
+
+    return Relabeling(rng.random() < 0.5, rng.random() < 0.5, perms(s.alice), perms(s.bob))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["conventional", "relaxed"])
+def test_ns_programs_match_fraction_tableau(kind, d):
+    s = Scenario.symmetric(d)
+    for relabeling in (Relabeling(), seeded_relabeling(s, 10 * d), seeded_relabeling(s, 10 * d + 1)):
+        lp = ns_program(build_argument(kind, s, relabeling=relabeling)[0])
+        assert same_as_fraction_tableau(solve_max, lp).status is LpStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_locality_verdicts_match_fraction_tableau(d):
+    s = Scenario.symmetric(d)
+    for box, local in ((uniform_box(s), True), (nonlocal_vertex(s, (0, 1, 1)), False)):
+        assert same_as_fraction_tableau(is_local, box) is local

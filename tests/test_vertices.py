@@ -164,6 +164,11 @@ def test_uniform_box_is_local_with_explicit_mixture():
     assert tuple(mixed) == u.table
 
 
+def test_uniform_box_is_local_at_four_outcomes():
+    # 256 strategy columns: the largest mixture program in the tests
+    assert is_local(uniform_box(Scenario.symmetric(4))) is True
+
+
 def test_is_local_rejects_invalid_boxes():
     s = Scenario.symmetric(2)
     table = list(pr_box().table)
