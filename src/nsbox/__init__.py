@@ -52,6 +52,7 @@ from .vertices import (
 from .hardy import (
     KIND_CONVENTIONAL,
     KIND_RELAXED,
+    MAX_LHV_STRATEGIES,
     MAX_PERMUTATION_FAMILY,
     REGIME_LHV,
     REGIME_NS,

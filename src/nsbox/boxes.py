@@ -14,9 +14,10 @@ line up index-for-index.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, Sequence
 
 from .rationals import coerce_rational, format_rational, parse_rational
@@ -48,6 +49,7 @@ INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_ORIENTATIONS = ((0, 1), (1, 0))  # (near, far) inputs of a no-signaling row's two sides
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,15 @@ def _positivity_label(x: int, y: int, a: int, b: int) -> str:
     return f"positivity: P(a={a + 1}, b={b + 1} | x={x}, y={y}) >= 0"
 
 
+def _normalization_label(x: int, y: int) -> str:
+    return f"normalization: block (x={x}, y={y}) sums to 1"
+
+
+def _nosignaling_label(party: str, own: int, outcome: int, near: int, far: int) -> str:
+    o, i, f = ("a", "x", "y") if party == "A" else ("b", "y", "x")
+    return f"no-signaling: P({o}={outcome + 1} | {i}={own}) via {f}={near} equals via {f}={far}"
+
+
 def build_positivity(scenario: Scenario) -> ConstraintSystem:
     """One row -P(a, b | x, y) <= 0 per coordinate."""
     return ConstraintSystem(scenario, tuple(
@@ -235,8 +246,7 @@ def build_normalization(scenario: Scenario) -> ConstraintSystem:
     for x, y in INPUT_PAIRS:
         coeffs = tuple((scenario.coord_index(x, y, a, b), _ONE)
                        for a in range(scenario.alice[x]) for b in range(scenario.bob[y]))
-        conds.append(LinearCondition(
-            coeffs, _ONE, "eq", f"normalization: block (x={x}, y={y}) sums to 1"))
+        conds.append(LinearCondition(coeffs, _ONE, "eq", _normalization_label(x, y)))
     return ConstraintSystem(scenario, tuple(conds))
 
 
@@ -254,25 +264,27 @@ def build_nosignaling(scenario: Scenario) -> ConstraintSystem:
     conds = []
     for x in (0, 1):
         for a in range(scenario.alice[x]):
-            for y_near, y_far in ((0, 1), (1, 0)):
+            for y_near, y_far in _ORIENTATIONS:
                 coeffs = row([idx(x, y_near, a, b) for b in range(scenario.bob[y_near])],
                              [idx(x, y_far, a, b) for b in range(scenario.bob[y_far])])
                 conds.append(LinearCondition(
-                    coeffs, _ZERO, "eq",
-                    f"no-signaling: P(a={a + 1} | x={x}) via y={y_near} equals via y={y_far}"))
+                    coeffs, _ZERO, "eq", _nosignaling_label("A", x, a, y_near, y_far)))
     for y in (0, 1):
         for b in range(scenario.bob[y]):
-            for x_near, x_far in ((0, 1), (1, 0)):
+            for x_near, x_far in _ORIENTATIONS:
                 coeffs = row([idx(x_near, y, a, b) for a in range(scenario.alice[x_near])],
                              [idx(x_far, y, a, b) for a in range(scenario.alice[x_far])])
                 conds.append(LinearCondition(
-                    coeffs, _ZERO, "eq",
-                    f"no-signaling: P(b={b + 1} | y={y}) via x={x_near} equals via x={x_far}"))
+                    coeffs, _ZERO, "eq", _nosignaling_label("B", y, b, x_near, x_far)))
     return ConstraintSystem(scenario, tuple(conds))
 
 
+@cache
 def polytope_system(scenario: Scenario) -> ConstraintSystem:
-    """Normalization plus no-signaling (the equality part of the polytope)."""
+    """Normalization plus no-signaling (the equality part of the polytope).
+
+    Built once per scenario and cached: every caller shares the same
+    immutable system (eq_rows still hands out a fresh list)."""
     return build_normalization(scenario).merge(build_nosignaling(scenario))
 
 
@@ -288,14 +300,29 @@ class ValidationReport:
 def is_valid_box(box: JointBox) -> ValidationReport:
     """Exact membership check: positivity, normalization, no-signaling.
 
-    Violations are reported with the same labels the constraint builders use.
-    Positivity is scanned directly over the table.
+    Violations carry the builders' labels, in the order of a positivity scan
+    in coordinate order followed by polytope_system(scenario).violations(box).
+    The table is scaled to ints by the lcm of its denominators and each
+    block's row and column sums are taken once; no constraint row is built.
     """
-    violations = []
-    for (x, y, a, b), p in zip(box.scenario.coords(), box.table):
-        if p < 0:
-            violations.append(_positivity_label(x, y, a, b))
-    violations.extend(polytope_system(box.scenario).violations(box))
+    s = box.scenario
+    scale = math.lcm(*{p.denominator for p in box.table})
+    cells = [p.numerator * (scale // p.denominator) for p in box.table]
+    violations = [_positivity_label(*c) for c, v in zip(s.coords(), cells) if v < 0]
+    margins = {}  # (party, own input, far input): the party's outcome sums on that block
+    for x, y in INPUT_PAIRS:
+        start, nb = s._offsets[(x, y)], s.bob[y]
+        block = cells[start:start + s.alice[x] * nb]
+        margins["A", x, y] = [sum(block[a * nb:(a + 1) * nb]) for a in range(s.alice[x])]
+        margins["B", y, x] = [sum(block[b::nb]) for b in range(nb)]
+        if sum(block) != scale:
+            violations.append(_normalization_label(x, y))
+    for party in PARTIES:
+        for own in (0, 1):
+            for outcome, (p0, p1) in enumerate(zip(margins[party, own, 0], margins[party, own, 1])):
+                if p0 != p1:
+                    violations.extend(_nosignaling_label(party, own, outcome, near, far)
+                                      for near, far in _ORIENTATIONS)
     return ValidationReport(not violations, tuple(violations))
 
 

@@ -35,11 +35,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .boxes import (
+    INPUT_PAIRS,
     JointBox,
     Scenario,
     is_valid_box,
@@ -51,7 +53,6 @@ from .vertices import (
     NonlocalLabel,
     deterministic_box,
     deterministic_strategies,
-    nonlocal_entry_fn,
     nonlocal_vertex,
 )
 
@@ -66,6 +67,7 @@ __all__ = [
     "ArgumentNotSatisfied",
     "SearchBudgetExceeded",
     "MAX_PERMUTATION_FAMILY",
+    "MAX_LHV_STRATEGIES",
     "OptimizationReport",
     "PnResult",
     "QuantumReference",
@@ -95,6 +97,11 @@ _ONE = Fraction(1)
 # Largest permutation family per input the relabeling search accepts: 7!,
 # every permutation of seven outcomes.
 MAX_PERMUTATION_FAMILY = 5040
+
+# Largest number of deterministic strategies max_success_lhv enumerates. A
+# strategy costs about 1-2 us (Python 3.11, 2-vCPU VM), so this is a few
+# seconds; outcome counts (200, 200, 200, 200) would mean 1.6e9 strategies.
+MAX_LHV_STRATEGIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -169,8 +176,9 @@ class ArgumentNotSatisfied(Exception):
 
 
 class SearchBudgetExceeded(ValueError):
-    """A relabeling search refused up front: its permutation family is larger
-    than MAX_PERMUTATION_FAMILY."""
+    """A search refused up front: a relabeling search whose permutation
+    family is larger than MAX_PERMUTATION_FAMILY, or a local-realistic
+    optimum over more than MAX_LHV_STRATEGIES deterministic strategies."""
 
 
 @dataclass(frozen=True)
@@ -353,10 +361,17 @@ def max_success_lhv(arg: HardyArgument) -> OptimizationReport:
     This is a plain exhaustive enumeration, kept deliberately independent of
     the LP kernel so the two optimization routes can cross-check each other.
     A strategy is 1 on one cell per input pair and 0 elsewhere, so only
-    those four cells are looked up in the event sets.
+    those four cells are looked up in the event sets. Raises
+    SearchBudgetExceeded, before enumerating, when the product of the four
+    outcome counts exceeds MAX_LHV_STRATEGIES.
     """
     if arg.last_condition_bound != 0:
         raise ValueError("the local-realistic route only handles p = 0 arguments")
+    count = math.prod(arg.scenario.dims())
+    if count > MAX_LHV_STRATEGIES:
+        raise SearchBudgetExceeded(
+            f"the local-realistic optimum needs {count} deterministic strategies, "
+            f"over the budget of {MAX_LHV_STRATEGIES}")
     events = argument_events(arg)
     zeros = frozenset().union(*events.zeros)
     best = None
@@ -654,24 +669,44 @@ def best_satisfied_argument(box: JointBox, kind: str, p=_ZERO,
     return HardyArgument(kind, box.scenario, rel, arg.last_condition_bound), mass
 
 
+def _congruence_masses(arg: HardyArgument):
+    """(label, success mass) of every congruence label, in lexicographic
+    order, whose vertex satisfies arg's zero (and bounded) conditions.
+
+    Label (xc, yc, shift) puts 1/d on the cells a, b < d of block (x, y) in
+    difference class (b - a) mod d = (x*y + xc*x + yc*y + shift) mod d. Each
+    event set's cells are counted once per (block, class), so a label costs
+    four lookups per set."""
+    d = arg.scenario.min_outputs
+    events = argument_events(arg)
+
+    def counts(cells):
+        return Counter((x, y, (b - a) % d) for x, y, a, b in cells if a < d and b < d)
+
+    zeros = [counts(zset) for zset in events.zeros]
+    success = counts(events.success)
+    # each cell weighs 1/d: the third set's mass is within p iff it hits <= floor(p * d)
+    limit = math.floor(arg.last_condition_bound * d)
+    for label in itertools.product(range(d), repeat=3):
+        xc, yc, shift = label
+        support = [(x, y, (x * y + xc * x + yc * y + shift) % d) for x, y in INPUT_PAIRS]
+        hits = [sum(c[k] for k in support) for c in zeros]
+        if not hits[0] and not hits[1] and hits[2] <= limit:
+            yield label, Fraction(sum(success[k] for k in support), d)
+
+
 def attaining_nonlocal_vertex(arg: HardyArgument) -> tuple[NonlocalLabel, JointBox, Fraction]:
     """Scan every congruence-box label for those satisfying arg's zero
     conditions and return the one with maximal success mass (ties: first
-    label in lexicographic order). The winner's success mass is recomputed
-    from its materialized table via evaluate_pp before being returned."""
-    s = arg.scenario
-    events = argument_events(arg)
-    best = None
-    for label in itertools.product(range(s.min_outputs), repeat=3):
-        entry = nonlocal_entry_fn(s, label)
-        if _violation(entry, events, arg.last_condition_bound) is None:
-            mass = _mass(entry, events.success)
-            if best is None or mass > best[1]:
-                best = (label, mass)
+    label in lexicographic order). The scan counts event cells per outcome
+    difference class (_congruence_masses) and never builds a table; the
+    winner's success mass is recomputed from its materialized table via
+    evaluate_pp before being returned."""
+    best = max(_congruence_masses(arg), key=lambda item: item[1], default=None)
     if best is None:
         raise ValueError("no congruence vertex satisfies the argument's zero conditions")
     label, mass = best
-    box = nonlocal_vertex(s, label)
+    box = nonlocal_vertex(arg.scenario, label)
     pp = evaluate_pp(box, arg)
     if pp != mass:
         raise RuntimeError("internal error: scan and table evaluation disagree")

@@ -12,6 +12,7 @@ from nsbox import (
     box_from_json_dict,
     box_to_json,
     box_to_json_dict,
+    build_argument,
     build_normalization,
     build_nosignaling,
     build_positivity,
@@ -19,6 +20,7 @@ from nsbox import (
     is_valid_box,
     marginal,
     nonlocal_vertex,
+    ns_program,
     polytope_dimension,
     polytope_system,
     uniform_box,
@@ -253,3 +255,93 @@ def test_vertex_mixtures_are_valid(i, j, num):
     report = is_valid_box(mix)
     assert report.ok, report.violations
     assert not polytope_system(s).violations(mix)
+
+
+# ---------------------------------------------------------------------------
+# differential: the integer block-sum validation against the constraint rows
+
+# denominators small, prime, and far beyond a machine word, so that scaling
+# the table to ints meets mixed and large lcms
+DENOMINATORS = [1, 2, 3, 7, 12, 10**18 + 9, 2**61 - 1, 3**40]
+
+
+@st.composite
+def tampered_boxes(draw):
+    """A mixture of two vertex boxes with a random weight, then up to four
+    edits: a cell set to any value (often negative), mass added to a cell
+    (unnormalized), or a share of a cell's mass moved to another cell of its
+    block (signaling, still normalized)."""
+    s = Scenario.from_dims(draw(st.tuples(*[st.integers(2, 5)] * 4)))
+    d = s.min_outputs
+
+    def vertex():
+        if draw(st.booleans()):
+            return nonlocal_vertex(s, draw(st.tuples(*[st.integers(0, d - 1)] * 3)))
+        return deterministic_box(s, *(tuple(draw(st.integers(0, n - 1)) for n in counts)
+                                      for counts in (s.alice, s.bob)))
+
+    def rational(low):  # in [low, 1], its denominator a multiple of a drawn one
+        den = draw(st.sampled_from(DENOMINATORS))
+        return F(draw(st.integers(10 * low, 9)), 10) + F(draw(st.integers(0, 1)), 10 * den)
+
+    weight = rational(0)
+    table = [weight * p + (1 - weight) * q for p, q in zip(vertex().table, vertex().table)]
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["set", "add", "move"]))
+        i = draw(st.sampled_from([k for k, v in enumerate(table) if v > 0]))
+        if edit == "set":
+            table[i] = rational(-1)
+        elif edit == "add":
+            table[i] += rational(-1)
+        else:
+            x, y, _a, _b = list(s.coords())[i]
+            j = s.coord_index(x, y, draw(st.integers(0, s.alice[x] - 1)),
+                              draw(st.integers(0, s.bob[y] - 1)))
+            q = rational(0) * table[i]  # a share of its mass: both cells stay >= 0
+            table[i] -= q
+            table[j] += q
+    return JointBox(s, tuple(table))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_boxes())
+def test_validation_matches_constraint_rows(box):
+    s = box.scenario
+    expected = build_positivity(s).violations(box) + polytope_system(s).violations(box)
+    report = is_valid_box(box)
+    assert report.violations == tuple(expected)
+    assert report.ok is not expected
+
+
+def test_validation_labels_every_kind_of_violation():
+    s = Scenario.from_dims([2, 3, 3, 2])
+    table = list(uniform_box(s).table)
+    table[s.coord_index(1, 0, 2, 0)] = F(-1, 9)  # negative, block (1, 0) unnormalized
+    table[s.coord_index(0, 1, 1, 1)] += F(1, 2)  # mass moved within block (0, 1):
+    table[s.coord_index(0, 1, 0, 0)] -= F(1, 2)  # negative and signaling, normalized
+    box = JointBox(s, tuple(table))
+    report = is_valid_box(box)
+    assert report.violations == tuple(
+        build_positivity(s).violations(box) + polytope_system(s).violations(box))
+    assert report.violations[:3] == ("positivity: P(a=1, b=1 | x=0, y=1) >= 0",
+                                     "positivity: P(a=3, b=1 | x=1, y=0) >= 0",
+                                     "normalization: block (x=1, y=0) sums to 1")
+    assert "no-signaling: P(a=1 | x=0) via y=1 equals via y=0" in report.violations
+    assert "no-signaling: P(b=2 | y=1) via x=0 equals via x=1" in report.violations
+
+
+# ---------------------------------------------------------------------------
+# the polytope system is built once per scenario and shared
+
+
+def test_polytope_system_is_shared_and_left_unchanged():
+    s = Scenario.symmetric(4)
+    system = polytope_system(s)
+    assert polytope_system(Scenario.symmetric(4)) is system
+    conditions, rows = system.conditions, len(system.eq_rows())
+    assert system.eq_rows() is not system.eq_rows()  # ns_program appends to its copy
+    for kind, p in (("conventional", 0), ("relaxed", 0), ("relaxed", F(1, 3))):
+        program = ns_program(build_argument(kind, s, p)[0])
+        assert len(program.eq_constraints) == rows + (3 if p == 0 else 2)
+        assert polytope_system(s) is system
+        assert system.conditions is conditions and len(system.eq_rows()) == rows

@@ -102,6 +102,18 @@ def test_optimize_usage_errors(capsys):
     assert "error" in err
 
 
+def test_optimize_lhv_over_strategy_budget_exits_2(capsys, monkeypatch):
+    def enumeration_started(scenario):
+        raise AssertionError("the oversized enumeration started")
+
+    monkeypatch.setattr(hardy, "deterministic_strategies", enumeration_started)
+    code, out, err = run(capsys, "optimize", "--kind", "conventional", "--regime", "lhv",
+                         "--dims", "200,200,200,200")
+    assert (code, out) == (2, "")
+    assert err == ("error: the local-realistic optimum needs 1600000000 deterministic "
+                   "strategies, over the budget of 1000000\n")
+
+
 # ---------------------------------------------------------------------------
 # vertices
 

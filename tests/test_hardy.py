@@ -12,11 +12,13 @@ Frozen expectations used as oracles here:
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from nsbox import (
+    MAX_LHV_STRATEGIES,
     MAX_PERMUTATION_FAMILY,
     ArgumentNotSatisfied,
     HardyArgument,
@@ -40,6 +42,7 @@ from nsbox import (
     max_success_lhv,
     max_success_ns,
     nonlocal_vertex,
+    nonlocal_entry_fn,
     ns_program,
     permutation_family_size,
     ppc,
@@ -228,6 +231,27 @@ def test_lhv_zero_for_relabeled_arguments():
     assert max_success_lhv(arg).optimum == 0
 
 
+def test_lhv_strategy_budget_is_checked_before_enumerating(monkeypatch):
+    assert MAX_LHV_STRATEGIES == 10**6
+
+    def enumeration_started(scenario):
+        raise AssertionError(f"enumeration started at {scenario.dims()}")
+
+    monkeypatch.setattr(hardy, "deterministic_strategies", enumeration_started)
+    # the estimate is the product of the four outcome counts
+    for dims, count in (((200, 200, 200, 200), 1600000000), ((10, 10, 100, 101), 1010000),
+                        ((2, 3, 1000, 167), 1002000)):
+        arg, _ = build_argument("conventional", Scenario.from_dims(dims))
+        with pytest.raises(SearchBudgetExceeded,
+                           match=f"needs {count} deterministic strategies, over the budget "
+                                 f"of {MAX_LHV_STRATEGIES}"):
+            max_success_lhv(arg)
+    # exactly at the budget the enumeration starts
+    arg, _ = build_argument("relaxed", Scenario.from_dims([10, 10, 100, 100]))
+    with pytest.raises(AssertionError, match="enumeration started"):
+        max_success_lhv(arg)
+
+
 # ---------------------------------------------------------------------------
 # PP on concrete boxes
 
@@ -348,6 +372,76 @@ def test_condition_checks_agree_with_evaluate_pp(dims, kind):
         else:
             label, box, pp = attaining_nonlocal_vertex(arg)
             assert (tuple(label), box, pp) == expected
+
+
+def per_label_scan(arg):
+    """Reference: the congruence scan that the class counts replaced, which
+    checks every label by calling _violation on its entry function. Returns
+    ({label: success mass} of the satisfying labels, (label, box, pp) of the
+    first maximum or None)."""
+    s = arg.scenario
+    events = argument_events(arg)
+    satisfying = {}
+    best = None
+    for label in itertools.product(range(s.min_outputs), repeat=3):
+        entry = nonlocal_entry_fn(s, label)
+        if hardy._violation(entry, events, arg.last_condition_bound) is None:
+            mass = hardy._mass(entry, events.success)
+            satisfying[label] = mass
+            if best is None or mass > best[1]:
+                best = (label, mass)
+    if best is None:
+        return satisfying, None
+    box = nonlocal_vertex(s, best[0])
+    return satisfying, (best[0], box, evaluate_pp(box, arg))
+
+
+def seeded_relabeling(s, seed):
+    rng = random.Random(seed)
+
+    def perms(counts):
+        return tuple(tuple(rng.sample(range(n), n)) for n in counts)
+
+    return Relabeling(rng.random() < 0.5, rng.random() < 0.5, perms(s.alice), perms(s.bob))
+
+
+# asymmetric counts put event cells at outcomes >= min_outputs, where every
+# congruence vertex is 0; (3, 2, 2, 3) and (2, 3, 4, 5) have identity
+# arguments that no congruence vertex satisfies
+SCAN_DIMS = [(2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (5, 5, 5, 5), (3, 2, 2, 3),
+             (2, 3, 4, 5), (3, 4, 3, 5), (4, 3, 5, 4)]
+SCAN_ARGUMENTS = [("conventional", F(0)), ("relaxed", F(0)), ("relaxed", F(1, 10)),
+                  ("relaxed", F(1, 3))]
+
+
+def scan_arguments(dims):
+    s = Scenario.from_dims(dims)
+    relabelings = [Relabeling()] + [seeded_relabeling(s, 100 * sum(dims) + k) for k in range(4)]
+    return [build_argument(kind, s, p, relabeling)[0]
+            for kind, p in SCAN_ARGUMENTS for relabeling in relabelings]
+
+
+@pytest.mark.parametrize("dims", SCAN_DIMS)
+def test_vertex_scan_matches_per_label_scan(dims):
+    refused = 0
+    for arg in scan_arguments(dims):
+        _satisfying, expected = per_label_scan(arg)
+        if expected is None:
+            refused += 1
+            with pytest.raises(ValueError, match="no congruence vertex satisfies"):
+                attaining_nonlocal_vertex(arg)
+        else:
+            label, box, pp = attaining_nonlocal_vertex(arg)
+            assert (tuple(label), box, pp) == expected, arg
+    if dims in ((3, 2, 2, 3), (2, 3, 4, 5)):
+        assert refused
+
+
+@pytest.mark.parametrize("dims", SCAN_DIMS)
+def test_congruence_class_counts_match_per_label_scan(dims):
+    for arg in scan_arguments(dims):
+        satisfying, _expected = per_label_scan(arg)
+        assert list(hardy._congruence_masses(arg)) == list(satisfying.items()), arg
 
 
 # ---------------------------------------------------------------------------
