@@ -48,7 +48,6 @@ PARTIES = ("A", "B")
 INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _ORIENTATIONS = ((0, 1), (1, 0))  # (near, far) inputs of a no-signaling row's two sides
 
 
@@ -172,10 +171,11 @@ class LinearCondition:
     """One labeled linear row over box coordinates: coeffs . p (= | <=) rhs.
 
     The row is sparse: coeffs holds its nonzero (index, coeff) pairs, sorted
-    by coordinate index."""
+    by coordinate index. The builders here make every coefficient and rhs an
+    int, the form the LP kernel takes without conversion."""
 
-    coeffs: tuple[tuple[int, Fraction], ...]
-    rhs: Fraction
+    coeffs: tuple[tuple[int, int], ...]
+    rhs: int
     relation: str  # "eq" or "le"
     label: str
 
@@ -211,7 +211,7 @@ class ConstraintSystem:
             conds.extend(other.conditions)
         return ConstraintSystem(self.scenario, tuple(conds))
 
-    def eq_rows(self) -> list[tuple[tuple[tuple[int, Fraction], ...], Fraction]]:
+    def eq_rows(self) -> list[tuple[tuple[tuple[int, int], ...], int]]:
         return [(c.coeffs, c.rhs) for c in self.conditions if c.relation == "eq"]
 
     def violations(self, box: JointBox) -> list[str]:
@@ -236,7 +236,7 @@ def _nosignaling_label(party: str, own: int, outcome: int, near: int, far: int) 
 def build_positivity(scenario: Scenario) -> ConstraintSystem:
     """One row -P(a, b | x, y) <= 0 per coordinate."""
     return ConstraintSystem(scenario, tuple(
-        LinearCondition(((i, Fraction(-1)),), _ZERO, "le", _positivity_label(x, y, a, b))
+        LinearCondition(((i, -1),), 0, "le", _positivity_label(x, y, a, b))
         for i, (x, y, a, b) in enumerate(scenario.coords())))
 
 
@@ -244,9 +244,9 @@ def build_normalization(scenario: Scenario) -> ConstraintSystem:
     """One row per input pair: the block's entries sum to 1. Exactly 4 rows."""
     conds = []
     for x, y in INPUT_PAIRS:
-        coeffs = tuple((scenario.coord_index(x, y, a, b), _ONE)
+        coeffs = tuple((scenario.coord_index(x, y, a, b), 1)
                        for a in range(scenario.alice[x]) for b in range(scenario.bob[y]))
-        conds.append(LinearCondition(coeffs, _ONE, "eq", _normalization_label(x, y)))
+        conds.append(LinearCondition(coeffs, 1, "eq", _normalization_label(x, y)))
     return ConstraintSystem(scenario, tuple(conds))
 
 
@@ -258,7 +258,7 @@ def build_nosignaling(scenario: Scenario) -> ConstraintSystem:
     redundancy. All-dims-2 scenarios get 8 Alice rows and 8 Bob rows.
     """
     def row(near, far):
-        return tuple(sorted([(i, _ONE) for i in near] + [(i, -_ONE) for i in far]))
+        return tuple(sorted([(i, 1) for i in near] + [(i, -1) for i in far]))
 
     idx = scenario.coord_index
     conds = []
@@ -268,14 +268,14 @@ def build_nosignaling(scenario: Scenario) -> ConstraintSystem:
                 coeffs = row([idx(x, y_near, a, b) for b in range(scenario.bob[y_near])],
                              [idx(x, y_far, a, b) for b in range(scenario.bob[y_far])])
                 conds.append(LinearCondition(
-                    coeffs, _ZERO, "eq", _nosignaling_label("A", x, a, y_near, y_far)))
+                    coeffs, 0, "eq", _nosignaling_label("A", x, a, y_near, y_far)))
     for y in (0, 1):
         for b in range(scenario.bob[y]):
             for x_near, x_far in _ORIENTATIONS:
                 coeffs = row([idx(x_near, y, a, b) for a in range(scenario.alice[x_near])],
                              [idx(x_far, y, a, b) for a in range(scenario.alice[x_far])])
                 conds.append(LinearCondition(
-                    coeffs, _ZERO, "eq", _nosignaling_label("B", y, b, x_near, x_far)))
+                    coeffs, 0, "eq", _nosignaling_label("B", y, b, x_near, x_far)))
     return ConstraintSystem(scenario, tuple(conds))
 
 

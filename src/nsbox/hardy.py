@@ -329,11 +329,11 @@ def ns_program(arg: HardyArgument) -> LinearProgram:
     ineq = []
     p = arg.last_condition_bound
     for k, zset in enumerate(events.zeros):
-        row = [(i, _ONE) for i in sorted(s.coord_index(*e) for e in zset)]
+        row = [(i, 1) for i in sorted(s.coord_index(*e) for e in zset)]
         if p > 0 and k == 2:
             ineq.append((row, p))
         else:
-            eq.append((row, _ZERO))
+            eq.append((row, 0))
     return LinearProgram(n, objective, eq, ineq)
 
 

@@ -18,8 +18,10 @@ Programs have the fixed shape
 
 which is exactly what box-polytope problems need; general free variables are
 deliberately unsupported. The objective is dense; each constraint row is
-sparse, (index, coeff) pairs as in ``LinearCondition.coeffs``, and stays
-sparse until the simplex tableau is built.
+sparse, (index, coeff) pairs as in ``LinearCondition.coeffs``. Validation
+scales each row once to ints by the lcm of its denominators; the presolve
+and the simplex tableau work on those ints, and the rows stay sparse until
+the tableau is built.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class LinearProgram:
     Constraints are (row, rhs) pairs; a row is (index, coeff) tuples with
     strictly increasing int indices in range(num_vars). All coefficients may
     be ints, Fractions, or rational strings; canonicalization rejects floats,
-    malformed pairs and bad indices, and drops zero coefficients.
+    malformed pairs and bad indices, drops zero coefficients and scales each
+    row to ints. Ints are the fast path: a row of ints is taken as it is.
     """
 
     num_vars: int
@@ -84,8 +87,11 @@ class LinearProgram:
     ineq_constraints: Sequence = ()
 
     def canonical(self) -> tuple[list[Fraction], list, list]:
-        """Validate and return (objective, eq rows, ineq rows) as Fractions;
-        a pair whose coefficient is already a Fraction is kept as it is."""
+        """Validate and return (objective, eq rows, ineq rows): the objective
+        as Fractions, each constraint row as (pairs, rhs, scale), where scale
+        is the lcm of the row's denominators (rhs included) and pairs and rhs
+        are the row's nonzero coefficients and rhs times it, as ints. A row
+        of ints keeps the caller's pair tuples."""
         if not isinstance(self.num_vars, int) or isinstance(self.num_vars, bool) or self.num_vars < 0:
             raise LpValidationError(f"num_vars must be a nonnegative integer, got {self.num_vars!r}")
         objective = [as_exact(v) for v in self.objective]
@@ -96,12 +102,12 @@ class LinearProgram:
         ineq = [self._canonical_row(pair, "ineq") for pair in self.ineq_constraints]
         return objective, eq, ineq
 
-    def _canonical_row(self, pair, kind: str) -> tuple[list[tuple[int, Fraction]], Fraction]:
+    def _canonical_row(self, pair, kind: str) -> tuple[list[tuple[int, int]], int, int]:
         try:
             row, rhs = pair
         except (TypeError, ValueError) as exc:
             raise LpValidationError(f"{kind} constraint must be a (row, rhs) pair, got {pair!r}") from exc
-        coeffs, last = [], -1
+        coeffs, last, scale = [], -1, 1
         for entry in row:
             if type(entry) is not tuple or len(entry) != 2:
                 raise LpValidationError(f"{kind} row entry must be an (index, coeff) pair, got {entry!r}")
@@ -110,11 +116,20 @@ class LinearProgram:
                 raise LpValidationError(
                     f"{kind} row index {j!r} is not an int above {last} below num_vars={self.num_vars}")
             last = j
-            if type(c) is not Fraction:
-                entry = (j, as_exact(c))
-            if entry[1]:
+            if type(c) is not int:
+                c = as_exact(c)
+                scale = lcm(scale, c.denominator)
+                entry = (j, c.numerator if c.denominator == 1 else c)
+            if c:
                 coeffs.append(entry)
-        return coeffs, as_exact(rhs)
+        if type(rhs) is not int:
+            rhs = as_exact(rhs)
+            scale = lcm(scale, rhs.denominator)
+        # an int's numerator and denominator are the int itself and 1
+        if scale == 1:
+            return coeffs, rhs.numerator, 1
+        return ([(j, c.numerator * (scale // c.denominator)) for j, c in coeffs],
+                rhs.numerator * (scale // rhs.denominator), scale)
 
     def to_json_dict(self) -> dict:
         """Diagnostic JSON form; every rational renders as a "num/den" string."""
@@ -122,9 +137,9 @@ class LinearProgram:
 
         def encode(rows):
             return [
-                {"row": [format_rational(c) for c in _dense(coeffs, self.num_vars)],
-                 "rhs": format_rational(rhs)}
-                for coeffs, rhs in rows
+                {"row": [format_rational(Fraction(c, scale)) for c in _dense(coeffs, self.num_vars)],
+                 "rhs": format_rational(Fraction(rhs, scale))}
+                for coeffs, rhs, scale in rows
             ]
 
         return {
@@ -146,9 +161,9 @@ class LpResult:
     solution: Optional[tuple[Fraction, ...]] = None
 
 
-def _dense(coeffs, width: int) -> list[Fraction]:
-    """A sparse row expanded to its width, zeros included."""
-    row = [_ZERO] * width
+def _dense(coeffs, width: int) -> list[int]:
+    """A sparse int row expanded to its width, zeros included."""
+    row = [0] * width
     for j, c in coeffs:
         row[j] = c
     return row
@@ -178,38 +193,39 @@ def _cancel(target: list[int], col: int, pivot, piv: int) -> list[int]:
 class _Simplex:
     """Exact integer tableau with sparse-row pivots.
 
-    The one place the sparse rows are expanded. Each row is ints with no
-    common factor, the rational tableau row times the row's entry in its
-    basic column (> 0), so only the rational row's signs and ratios are
-    kept, and they are all Bland's rule reads: the ratio test compares
-    rhs_i / a_i by cross-multiplying, and the pivots are those of a Fraction
-    tableau. Columns: real variables, slacks, [artificials], rhs."""
+    Takes the presolved (pairs, rhs, scale) int rows as they are and is the
+    one place they are expanded; scale is the row's slack or artificial
+    entry. Each row is ints with no common factor, the rational tableau row
+    times the row's entry in its basic column (> 0), so only the rational
+    row's signs and ratios are kept, and they are all Bland's rule reads:
+    the ratio test compares rhs_i / a_i by cross-multiplying, and the pivots
+    are those of a Fraction tableau. Columns: real variables, slacks,
+    [artificials], rhs."""
 
     def __init__(self, num_vars: int, eq, ineq):
         self.n = num_vars
         self.width = width = num_vars + len(ineq)
-        constraints = [(coeffs, rhs, -1) for coeffs, rhs in eq]
-        constraints += [(coeffs, rhs, num_vars + k) for k, (coeffs, rhs) in enumerate(ineq)]
+        constraints = [(*row, -1) for row in eq]
+        constraints += [(*row, num_vars + k) for k, row in enumerate(ineq)]
         # A row with rhs < 0 is negated so phase one can start from b >= 0,
         # and loses its basic slack. Each row without one gets an artificial
         # column, basic in it, which phase one drives to zero.
         artificial = width
-        total = width + sum(1 for _, rhs, slack in constraints if slack < 0 or rhs < 0) + 1
+        total = width + sum(1 for _, rhs, _, slack in constraints if slack < 0 or rhs < 0) + 1
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
-        for coeffs, rhs, slack in constraints:
-            scale = lcm(rhs.denominator, *(c.denominator for _, c in coeffs))
-            if rhs < 0:
-                scale = -scale
+        for coeffs, rhs, scale, slack in constraints:
             row = [0] * total
             for j, c in coeffs:
-                row[j] = c.numerator * (scale // c.denominator)
-            row[-1] = rhs.numerator * (scale // rhs.denominator)
+                row[j] = c
+            row[-1] = rhs
             if slack >= 0:
                 row[slack] = scale
-            if slack < 0 or scale < 0:
+            if rhs < 0:
+                row = [-v for v in row]
+            if slack < 0 or rhs < 0:
                 slack = artificial
-                row[slack] = abs(scale)
+                row[slack] = scale
                 artificial += 1
             g = gcd(*row)
             self.rows.append([v // g for v in row] if g > 1 else row)
@@ -329,10 +345,11 @@ class _Simplex:
 def _presolve(num_vars: int, eq, ineq):
     """Exact reductions that keep the feasible set and every vertex.
 
-    Takes canonical sparse rows. Returns (keep, eq, ineq): the surviving
-    variable indices in their original order (so Bland's rule ranks them as
-    before) and the sparse rows restricted and renumbered to them, or None
-    when the program is infeasible on its face.
+    Takes canonical (pairs, rhs, scale) int rows. Returns (keep, eq, ineq):
+    the surviving variable indices in their original order (so Bland's rule
+    ranks them as before) and the rows restricted and renumbered to them, in
+    the same form, or None when the program is infeasible on its face. A
+    scale is positive, so every sign test reads the ints.
 
     - An equality with rhs 0 whose live coefficients share one sign forces
       those variables to 0 under x >= 0. Forcing some variables can leave a
@@ -340,44 +357,52 @@ def _presolve(num_vars: int, eq, ineq):
       fixpoint.
     - Rows left empty are dropped; an empty equality with rhs != 0 or an empty
       <= row with rhs < 0 is infeasible.
-    - An equality that repeats or negates an earlier one is dropped.
+    - An equality that repeats or negates an earlier one is dropped. A row
+      and its scale, divided by their gcd, are one rational row's unique
+      int form, so equal keys mean equal rational rows, never multiples.
     """
     forced = [False] * num_vars
     changed = True
     while changed:
         changed = False
-        for nonzero, rhs in eq:
+        for nonzero, rhs, _ in eq:
             if rhs:
                 continue
-            unforced = [(j, c) for j, c in nonzero if not forced[j]]
-            if unforced and (all(c > 0 for _, c in unforced) or all(c < 0 for _, c in unforced)):
-                for j, _ in unforced:
+            # the live coefficients are nonzero: one sign iff one value of c > 0
+            if len({c > 0 for j, c in nonzero if not forced[j]}) == 1:
+                for j, _ in nonzero:
                     forced[j] = True
                 changed = True
     keep = [j for j in range(num_vars) if not forced[j]]
     column = {j: k for k, j in enumerate(keep)}
 
-    def restrict(nonzero) -> tuple:
-        return tuple((column[j], c) for j, c in nonzero if not forced[j])
+    def restrict(nonzero, rhs, scale) -> tuple:
+        pairs = tuple((column[j], c) for j, c in nonzero if not forced[j])
+        if scale > 1 and len(pairs) < len(nonzero):
+            # a dropped coefficient may have carried a factor of the scale
+            g = gcd(rhs, scale, *(c for _, c in pairs))
+            if g > 1:
+                return tuple((k, c // g) for k, c in pairs), rhs // g, scale // g
+        return pairs, rhs, scale
 
     reduced_eq = []
     seen = set()
-    for nonzero, rhs in eq:
-        pairs = restrict(nonzero)
+    for row in eq:
+        pairs, rhs, scale = row = restrict(*row)
         if not pairs:
             if rhs:
                 return None
             continue
         # one key for a row and its negation
-        key = (pairs, rhs) if pairs[0][1] > 0 else (tuple((k, -c) for k, c in pairs), -rhs)
+        key = row if pairs[0][1] > 0 else (tuple((k, -c) for k, c in pairs), -rhs, scale)
         if key not in seen:
             seen.add(key)
-            reduced_eq.append((pairs, rhs))
+            reduced_eq.append(row)
     reduced_ineq = []
-    for coeffs, rhs in ineq:
-        pairs = restrict(coeffs)
+    for row in ineq:
+        pairs, rhs, _ = row = restrict(*row)
         if pairs:
-            reduced_ineq.append((pairs, rhs))
+            reduced_ineq.append(row)
         elif rhs < 0:
             return None
     return keep, reduced_eq, reduced_ineq
@@ -426,9 +451,9 @@ def feasible_above(lp: LinearProgram, bound) -> bool:
     Duality spot-check helper: after solve_max returns value v, the program
     must be feasible at bound v and infeasible at v + eps for any eps > 0.
     """
-    objective, eq, ineq = lp.canonical()
-    cut = ([(j, -c) for j, c in enumerate(objective) if c], -as_exact(bound))
-    probe = LinearProgram(lp.num_vars, objective, eq, ineq + [cut])
+    objective = [as_exact(v) for v in lp.objective]
+    cut = (tuple((j, -c) for j, c in enumerate(objective) if c), -as_exact(bound))
+    probe = LinearProgram(lp.num_vars, lp.objective, lp.eq_constraints, [*lp.ineq_constraints, cut])
     return check_feasible(probe)
 
 

@@ -1,8 +1,10 @@
 """Exact-rational plumbing: canonical fractions and the "num/den" wire format.
 
-Everything numeric in this package is a ``fractions.Fraction``. Floats are
-rejected at every boundary because they would silently smuggle rounding error
-into a pipeline whose whole point is exactness.
+Every probability, optimum and result in this package is an exact
+``fractions.Fraction``; integer data stays ``int``: the constraint builders'
+coefficients, and the LP rows, which are scaled to ints once at validation.
+Floats are rejected at every boundary because they would silently smuggle
+rounding error into a pipeline whose whole point is exactness.
 """
 
 from __future__ import annotations

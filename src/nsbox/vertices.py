@@ -148,15 +148,15 @@ def deterministic_box(scenario: Scenario, alice_outputs, bob_outputs) -> JointBo
     return JointBox.from_function(scenario, prob)
 
 
-def _mixture_lp(columns: Sequence[Sequence[tuple[int, Fraction]]], target: JointBox) -> LinearProgram:
+def _mixture_lp(columns: Sequence[Sequence[tuple[int, int | Fraction]]], target: JointBox) -> LinearProgram:
     """Feasibility program: convex weights over columns, each a candidate's
     nonzero (coordinate index, probability) pairs, reproducing target."""
     n = len(columns)
-    rows: list[list[tuple[int, Fraction]]] = [[] for _ in target.table]
+    rows: list[list[tuple[int, int | Fraction]]] = [[] for _ in target.table]
     for k, column in enumerate(columns):
         for i, v in column:
             rows[i].append((k, v))
-    eq = list(zip(rows, target.table)) + [([(k, _ONE) for k in range(n)], _ONE)]
+    eq = list(zip(rows, target.table)) + [([(k, 1) for k in range(n)], 1)]
     return LinearProgram(n, [_ZERO] * n, eq, [])
 
 
@@ -183,7 +183,7 @@ def is_local(box: JointBox) -> bool:
     report = is_valid_box(box)
     if not report:
         raise ValueError("invalid box: " + "; ".join(report.violations[:3]))
-    columns = [[(box.scenario.coord_index(x, y, fa[x], fb[y]), _ONE) for x, y in INPUT_PAIRS]
+    columns = [[(box.scenario.coord_index(x, y, fa[x], fb[y]), 1) for x, y in INPUT_PAIRS]
                for fa, fb in deterministic_strategies(box.scenario)]
     return solve_max(_mixture_lp(columns, box)).status is LpStatus.OPTIMAL
 

@@ -17,6 +17,7 @@ tableau kept below: same results through the same pivots.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,8 +30,11 @@ from nsbox import (
     LpStatus,
     LpValidationError,
     Relabeling,
+    JointBox,
     Scenario,
     build_argument,
+    deterministic_box,
+    deterministic_strategies,
     is_local,
     nonlocal_vertex,
     ns_program,
@@ -156,12 +160,20 @@ def test_shape_validation():
         LinearProgram(1, [1], nonneg=False)
 
 
-def test_canonical_drops_zeros_and_keeps_fraction_pairs():
-    one, half = (0, F(1)), (2, F(1, 2))
-    lp = LinearProgram(3, [1, 0, 0], [((one, (1, 0), half), 1)], [(((1, F(0)), (2, "3")), 2)])
+def test_canonical_drops_zeros_and_scales_rows_to_ints():
+    one, two = (0, 1), (2, 2)
+    lp = LinearProgram(
+        3, [1, 0, 0],
+        [((one, (1, 0), two), 1), (((0, F(1)), (1, 0), (2, F(1, 2))), 1)],
+        [(((1, F(0)), (2, "3")), 2), (((0, F(2, 3)), (1, True), (2, "-1/4")), F(5, 6))])
     _, eq, ineq = lp.canonical()
-    assert eq == [([one, half], F(1))] and ineq == [([(2, F(3))], F(2))]
-    assert eq[0][0][0] is one and eq[0][0][1] is half
+    # (pairs, rhs, scale): the rational row is pairs / scale, rhs / scale,
+    # and scale is the lcm of the row's denominators
+    assert eq == [([one, two], 1, 1), ([(0, 2), (2, 1)], 2, 2)]
+    assert ineq == [([(2, 3)], 2, 1), ([(0, 8), (1, 12), (2, -3)], 10, 12)]
+    assert eq[0][0][0] is one and eq[0][0][1] is two  # a row of ints is kept as it is
+    for pairs, rhs, scale in eq + ineq:
+        assert all(type(v) is int for v in [*(c for _, c in pairs), rhs, scale])
 
 
 def test_validation_error_is_not_a_status():
@@ -204,7 +216,7 @@ def test_presolve_forces_zeros_through_mixed_sign_row():
     ineq = [([0, 0, 0, 1], 2)]
     lp = program(4, [1, 1, 1, 1], eq, ineq)
     keep, red_eq, red_ineq = _presolve(4, *lp.canonical()[1:])
-    assert keep == [3] and red_eq == [] and red_ineq == [(((0, F(1)),), F(2))]
+    assert keep == [3] and red_eq == [] and red_ineq == [(((0, 1),), 2, 1)]
     res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL and res.value == 2
     assert res.solution == (0, 0, 0, 2)
@@ -229,9 +241,27 @@ def test_presolve_drops_repeated_and_negated_equalities():
     lp = program(2, [0, 1], eq, [])
     keep, red_eq, _ = _presolve(2, *lp.canonical()[1:])
     assert keep == [0, 1]
-    assert red_eq == [(((0, F(1)), (1, F(-1))), F(1)), (((0, F(1)), (1, F(1))), F(3))]
+    assert red_eq == [(((0, 1), (1, -1)), 1, 1), (((0, 1), (1, 1)), 3, 1)]
     res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL and res.solution == (2, 1)
+    # other scalar multiples are distinct rows, however the ints compare
+    doubled = [([1, 1], 1), ([2, 2], 2)]
+    halved = [([F(1, 2), F(1, 2)], F(1, 2)), ([1, 1], 1)]
+    for eq, expected in ((doubled, [(((0, 1), (1, 1)), 1, 1), (((0, 2), (1, 2)), 2, 1)]),
+                         (halved, [(((0, 1), (1, 1)), 1, 2), (((0, 1), (1, 1)), 1, 1)])):
+        lp = program(2, [0, 1], eq, [])
+        assert _presolve(2, *lp.canonical()[1:]) == ([0, 1], expected, [])
+        res = solve_max(lp)
+        assert res.status is LpStatus.OPTIMAL and res.value == 1
+
+
+def test_presolve_drops_rows_equal_after_restriction():
+    # x0 = 0 is forced, so (1/3) x0 + x1 = 1 and x1 = 1 are one row: the
+    # first is rescaled to its restricted denominators and the second dropped
+    lp = program(2, [0, 1], [([1, 0], 0), ([F(1, 3), 1], 1), ([0, 1], 1), ([0, -2], -2)], [])
+    assert lp.canonical()[1][1] == ([(0, 1), (1, 3)], 3, 3)
+    assert _presolve(2, *lp.canonical()[1:]) == ([1], [(((0, 1),), 1, 1), (((0, -2),), -2, 1)], [])
+    same_as_fraction_presolve(solve_max, lp)
 
 
 def test_feasibility_helpers_agree_with_solve_max():
@@ -364,10 +394,15 @@ def test_random_programs_match_brute_force(data):
     res = solve_max(lp)
     oracle = _brute_force_max(n, objective, eq, ineq)
 
-    # the kernel drops the zeros that sparse() kept, and nothing else
+    # the kernel drops the zeros that sparse() kept, and nothing else, and
+    # scales each row by the lcm of its denominators
     _, canon_eq, canon_ineq = lp.canonical()
     for canon, dense in ((canon_eq, eq), (canon_ineq, ineq)):
-        assert canon == [([(j, c) for j, c in enumerate(row) if c], rhs) for row, rhs in dense]
+        assert [([(j, F(c, scale)) for j, c in pairs], F(rhs, scale))
+                for pairs, rhs, scale in canon] == \
+            [([(j, c) for j, c in enumerate(row) if c], rhs) for row, rhs in dense]
+        assert [scale for _, _, scale in canon] == \
+            [math.lcm(rhs.denominator, *(c.denominator for c in row)) for row, rhs in dense]
 
     assert check_feasible(lp) == (oracle is not None)
     if oracle is None:
@@ -399,7 +434,129 @@ def test_random_programs_match_brute_force(data):
 
 
 # ---------------------------------------------------------------------------
-# differential test: the integer tableau against a Fraction tableau
+# differential tests: the integer presolve and tableau against Fraction ones
+
+
+def rational_rows(rows):
+    """Int (pairs, rhs, scale) rows as the exact rational (pairs, rhs) rows
+    they stand for."""
+    return [(tuple((j, Fraction(c, scale)) for j, c in pairs), Fraction(rhs, scale))
+            for pairs, rhs, scale in rows]
+
+
+def fraction_presolve(num_vars: int, eq, ineq):
+    """Reference: the presolve on rational rows that the int presolve
+    replaced, kept here verbatim."""
+    forced = [False] * num_vars
+    changed = True
+    while changed:
+        changed = False
+        for nonzero, rhs in eq:
+            if rhs:
+                continue
+            unforced = [(j, c) for j, c in nonzero if not forced[j]]
+            if unforced and (all(c > 0 for _, c in unforced) or all(c < 0 for _, c in unforced)):
+                for j, _ in unforced:
+                    forced[j] = True
+                changed = True
+    keep = [j for j in range(num_vars) if not forced[j]]
+    column = {j: k for k, j in enumerate(keep)}
+
+    def restrict(nonzero) -> tuple:
+        return tuple((column[j], c) for j, c in nonzero if not forced[j])
+
+    reduced_eq = []
+    seen = set()
+    for nonzero, rhs in eq:
+        pairs = restrict(nonzero)
+        if not pairs:
+            if rhs:
+                return None
+            continue
+        # one key for a row and its negation
+        key = (pairs, rhs) if pairs[0][1] > 0 else (tuple((k, -c) for k, c in pairs), -rhs)
+        if key not in seen:
+            seen.add(key)
+            reduced_eq.append((pairs, rhs))
+    reduced_ineq = []
+    for coeffs, rhs in ineq:
+        pairs = restrict(coeffs)
+        if pairs:
+            reduced_ineq.append((pairs, rhs))
+        elif rhs < 0:
+            return None
+    return keep, reduced_eq, reduced_ineq
+
+
+def same_as_fraction_presolve(fn, *args):
+    """fn(*args), checking that every presolve it runs keeps the same
+    variables and the same rational rows, in order, as the reference (or
+    finds the same program infeasible); returns fn's result."""
+    calls = []
+
+    def checked(num_vars, eq, ineq):
+        reduced = _presolve(num_vars, eq, ineq)
+        expected = fraction_presolve(num_vars, rational_rows(eq), rational_rows(ineq))
+        if expected is None:
+            assert reduced is None
+        else:
+            keep, red_eq, red_ineq = reduced
+            assert (keep, rational_rows(red_eq), rational_rows(red_ineq)) == expected
+        calls.append(num_vars)
+        return reduced
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_presolve", checked)
+        result = fn(*args)
+    assert calls
+    return result
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_random_programs_match_fraction_presolve(data):
+    n, objective, eq, ineq = _program_strategy(data.draw)
+    same_as_fraction_presolve(solve_max, program(n, objective, eq, ineq))
+
+
+def seeded_relabeling(s, seed):
+    rng = random.Random(seed)
+
+    def perms(counts):
+        return tuple(tuple(rng.sample(range(n), n)) for n in counts)
+
+    return Relabeling(rng.random() < 0.5, rng.random() < 0.5, perms(s.alice), perms(s.bob))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["conventional", "relaxed"])
+def test_ns_programs_match_fraction_presolve(kind, d):
+    s = Scenario.symmetric(d)
+    for relabeling in (Relabeling(), seeded_relabeling(s, 10 * d), seeded_relabeling(s, 10 * d + 1)):
+        lp = ns_program(build_argument(kind, s, relabeling=relabeling)[0])
+        same_as_fraction_presolve(lambda: lp_module._presolve(lp.num_vars, *lp.canonical()[1:]))
+
+
+def mixture_box(s, weights):
+    """The mixture of the first deterministic strategies, in
+    deterministic_strategies order, with the given weights normalized:
+    local by construction."""
+    table = [Fraction(0)] * s.num_coords
+    for w, (fa, fb) in zip(weights, deterministic_strategies(s)):
+        for i, p in enumerate(deterministic_box(s, fa, fb).table):
+            table[i] += Fraction(w, sum(weights)) * p
+    return JointBox(s, tuple(table))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_locality_programs_match_fraction_presolve(d):
+    s = Scenario.symmetric(d)
+    cases = ((uniform_box(s), True), (nonlocal_vertex(s, (0, 1, 1)), False),
+             (nonlocal_vertex(s, (1, 2, 0)), False), (mixture_box(s, [3, 0, 5, 0, 0, 7]), True))
+    for box, local in cases:
+        assert same_as_fraction_presolve(is_local, box) is local
+
+
 
 
 def _fraction_dense(coeffs, width):
@@ -423,6 +580,7 @@ class FractionSimplex:
     ratio keys)."""
 
     def __init__(self, num_vars, eq, ineq):
+        eq, ineq = rational_rows(eq), rational_rows(ineq)
         self.n = num_vars
         self.width = num_vars + len(ineq)
         self.rows = []
@@ -550,15 +708,6 @@ def test_random_programs_match_fraction_tableau(data):
     same_as_fraction_tableau(check_feasible, lp)
 
 
-def seeded_relabeling(s, seed):
-    rng = random.Random(seed)
-
-    def perms(counts):
-        return tuple(tuple(rng.sample(range(n), n)) for n in counts)
-
-    return Relabeling(rng.random() < 0.5, rng.random() < 0.5, perms(s.alice), perms(s.bob))
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["conventional", "relaxed"])
 def test_ns_programs_match_fraction_tableau(kind, d):
@@ -573,3 +722,29 @@ def test_locality_verdicts_match_fraction_tableau(d):
     s = Scenario.symmetric(d)
     for box, local in ((uniform_box(s), True), (nonlocal_vertex(s, (0, 1, 1)), False)):
         assert same_as_fraction_tableau(is_local, box) is local
+
+
+def test_tableau_receives_only_ints():
+    # the rows reach the tableau scaled once, as ints: no Fraction (or bool)
+    # coefficient, rhs or scale, and every scale positive
+    received = []
+
+    class Guarded(lp_module._Simplex):
+        def __init__(self, num_vars, eq, ineq):
+            for pairs, rhs, scale in [*eq, *ineq]:
+                assert all(type(v) is int for v in [*(c for _, c in pairs), rhs, scale])
+                assert scale > 0
+            received.append(len(eq) + len(ineq))
+            super().__init__(num_vars, eq, ineq)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_Simplex", Guarded)
+        for d in (2, 3, 4, 5):
+            for kind in ("conventional", "relaxed"):
+                arg = build_argument(kind, Scenario.symmetric(d))[0]
+                assert solve_max(ns_program(arg)).status is LpStatus.OPTIMAL
+        s = Scenario.symmetric(3)
+        bounded = build_argument("relaxed", s, p=F(1, 3))[0]  # a <= row with rhs 1/3
+        assert solve_max(ns_program(bounded)).status is LpStatus.OPTIMAL
+        assert is_local(uniform_box(s)) and is_local(mixture_box(s, [3, 0, 5, 0, 0, 7]))
+    assert len(received) == 11 and all(received)
