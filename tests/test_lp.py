@@ -13,7 +13,9 @@ exercises the kernel's dropping of zero coefficients; the oracle reads the
 dense rows.
 
 The integer simplex tableau is also checked against a reference Fraction
-tableau kept below: same results through the same pivots.
+tableau kept below: same results through the same pivots. Likewise the
+presolve on int rows is checked against the presolve on Fraction rows that
+it replaced: same variables kept, same rational rows, same verdicts.
 """
 
 import itertools
@@ -25,12 +27,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsbox import (
+    JointBox,
     LinearProgram,
     LpResult,
     LpStatus,
     LpValidationError,
     Relabeling,
-    JointBox,
     Scenario,
     build_argument,
     deterministic_box,
@@ -354,7 +356,7 @@ def _brute_force_max(num_vars, objective, eq, ineq):
     return best
 
 
-# integers, and fractions with mixed denominators, so the tableau's scaling of
+# integers, and fractions with mixed denominators, so canonical()'s scaling of
 # each row to ints sees denominators that differ within a row
 _coeff = st.one_of(st.integers(min_value=-3, max_value=3).map(Fraction),
                    st.builds(Fraction, st.integers(min_value=-9, max_value=9),
