@@ -66,6 +66,7 @@ from .hardy import (
     SearchBudgetExceeded,
     argument_events,
     attaining_nonlocal_vertex,
+    best_argument_with_pn,
     best_satisfied_argument,
     build_argument,
     compute_pn,

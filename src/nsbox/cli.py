@@ -32,7 +32,7 @@ from .hardy import (
     OptimizationReport,
     SearchBudgetExceeded,
     attaining_nonlocal_vertex,
-    best_satisfied_argument,
+    best_argument_with_pn,
     build_argument,
     compute_pn,
     evaluate_pp,
@@ -200,8 +200,7 @@ def cmd_verify(args) -> int:
             print(f"violated: {label}")
         return 1
     try:
-        best = best_satisfied_argument(box, args.kind, args.p, args.exhaustive_perms)
-        pn = None if best is None else compute_pn(box, best[0], args.exhaustive_perms).pn
+        best = best_argument_with_pn(box, args.kind, args.p, args.exhaustive_perms)
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -214,10 +213,10 @@ def cmd_verify(args) -> int:
             print(f"pp: not satisfied ({exc})")
             return 0
         raise RuntimeError("internal error: identity argument satisfied but not found by search")
-    arg, pp = best
+    arg, pp, result = best
     print(f"pp: {format_rational(pp)}")
-    print(f"pn: {format_rational(pn)}")
-    print(f"ppc: {format_rational(pn - pp)}")
+    print(f"pn: {format_rational(result.pn)}")
+    print(f"ppc: {format_rational(result.pn - pp)}")
     print(f"relabeling: {json.dumps(_relabeling_json_dict(arg))}")
     return 0
 
@@ -234,15 +233,14 @@ def cmd_pn(args) -> int:
             print(f"violated: {label}", file=sys.stderr)
         return 1
     try:
-        best = best_satisfied_argument(box, args.kind, args.p, args.exhaustive_perms)
-        if best is None:
-            print(f"error: no satisfied {args.kind} relabeling for this box", file=sys.stderr)
-            return 1
-        arg, pp = best
-        result = compute_pn(box, arg, args.exhaustive_perms)
+        best = best_argument_with_pn(box, args.kind, args.p, args.exhaustive_perms)
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if best is None:
+        print(f"error: no satisfied {args.kind} relabeling for this box", file=sys.stderr)
+        return 1
+    arg, pp, result = best
     payload = {
         "base": _argument_json_dict(arg),
         "pp": format_rational(pp),

@@ -82,6 +82,7 @@ __all__ = [
     "permutation_family_size",
     "ppc",
     "best_satisfied_argument",
+    "best_argument_with_pn",
     "attaining_nonlocal_vertex",
     "quantum_reference",
 ]
@@ -545,42 +546,57 @@ def _satisfied_chains(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, 
 
 def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, bool],
                         exhaustive: bool):
-    """Deterministic list of (success cells, mass, relabeling) for every
-    satisfied permutation chain; cells live on the designated block."""
+    """Deterministic list of (success cells, mass, relabeling) for the first
+    satisfied permutation chain and every later one with positive success
+    mass; cells live on the designated block. The block is scaled to ints
+    once, by the lcm of its denominators, so a chain's mass is an int sum
+    over its template cells, and only the kept chains build their cells and
+    relabeling."""
     (fam_a, fam_b), (ax, by), t_success, achievable = _satisfied_chains(
         box, kind, p, swaps, exhaustive)
+    x, y = ax[0], by[0]
+    block = [[box.prob(x, y, a, b) for b in range(box.scenario.bob[y])]
+             for a in range(box.scenario.alice[x])]
+    scale = math.lcm(*(q.denominator for row in block for q in row))
+    block = [[q.numerator * (scale // q.denominator) for q in row] for row in block]
     out = []
     for (ia0, ib0) in sorted(achievable):
+        pa0, pb0 = fam_a[0][ia0], fam_b[0][ib0]
+        total = sum(block[pa0[r]][pb0[t]] for r, t in t_success)
+        if not total and out:
+            continue
         ia1, ib1 = achievable[(ia0, ib0)]
-        pa = (fam_a[0][ia0], fam_a[1][ia1])
-        pb = (fam_b[0][ib0], fam_b[1][ib1])
-        cells = frozenset((pa[0][r], pb[0][t]) for r, t in t_success)
-        mass = sum((box.prob(ax[0], by[0], a, b) for a, b in cells), _ZERO)
+        pa = (pa0, fam_a[1][ia1])
+        pb = (pb0, fam_b[1][ib1])
+        cells = frozenset((pa0[r], pb0[t]) for r, t in t_success)
         # a swap is its own inverse: physical input x plays logical input ax[x]
         rel = Relabeling(swaps[0], swaps[1], (pa[ax[0]], pa[ax[1]]), (pb[by[0]], pb[by[1]]))
-        out.append((cells, mass, rel))
-    return out, (ax[0], by[0])
+        out.append((cells, Fraction(total, scale), rel))
+    return out, (x, y)
 
 
 def _max_disjoint_mass(entries):
     """Exact maximum-weight packing of pairwise-disjoint cell sets.
 
-    Depth-first search over entries sorted by descending mass. The bound on
-    a branch is the suffix sum of the masses still to come, capped at 1: the
-    cells lie in one block of a valid box, whose total mass is 1, so no
-    disjoint family can exceed it. Ties keep the first optimum found, so the
-    result is deterministic. Skipped entries are walked in a loop, so the
-    recursion is only as deep as the packing is large.
+    Depth-first search over entries sorted by descending mass. The masses
+    are scaled to ints over their common denominator. The bound on a branch
+    is the suffix sum of the masses still to come, capped at that
+    denominator (a mass of 1): the cells lie in one block of a valid box,
+    whose total mass is 1, so no disjoint family can exceed it. Ties keep
+    the first optimum found, so the result is deterministic. Skipped entries
+    are walked in a loop, so the recursion is only as deep as the packing is
+    large.
     """
-    order = sorted(range(len(entries)),
-                   key=lambda i: (-entries[i][1], sorted(entries[i][0])))
+    scale = math.lcm(*(mass.denominator for _cells, mass, _arg in entries))
+    scaled = [mass.numerator * (scale // mass.denominator) for _cells, mass, _arg in entries]
+    order = sorted(range(len(entries)), key=lambda i: (-scaled[i], sorted(entries[i][0])))
     cells = [entries[i][0] for i in order]
-    masses = [entries[i][1] for i in order]
-    suffix = [_ZERO] * (len(order) + 1)
+    masses = [scaled[i] for i in order]
+    suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + masses[i]
 
-    best_total = _ZERO
+    best_total = 0
     best_pick: tuple[int, ...] = ()
     picked: list[int] = []
 
@@ -588,36 +604,38 @@ def _max_disjoint_mass(entries):
         nonlocal best_total, best_pick
         if total > best_total:
             best_total, best_pick = total, tuple(picked)
-        while i < len(order) and min(total + suffix[i], _ONE) > best_total:
+        while i < len(order) and min(total + suffix[i], scale) > best_total:
             if used.isdisjoint(cells[i]):
                 picked.append(i)
                 search(i + 1, used | cells[i], total + masses[i])
                 picked.pop()
             i += 1
 
-    search(0, frozenset(), _ZERO)
-    return best_total, [entries[order[i]] for i in best_pick]
+    search(0, frozenset(), 0)
+    return Fraction(best_total, scale), [entries[order[i]] for i in best_pick]
 
 
-def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = False) -> PnResult:
-    """PN: the largest total success mass over families of success-disjoint
-    relabeled arguments of base's kind, all satisfied by the box on base's
-    designated input pair. The base itself competes, so PN >= PP.
-
-    The relabeling search runs over cyclic shifts and reversals per input by
-    default; exhaustive_perms widens it to every outcome permutation, and
-    raises SearchBudgetExceeded before searching when some outcome count has
-    more than MAX_PERMUTATION_FAMILY permutations (more than 7 outcomes).
-    The search prunes on the box's positive cells, so its cost follows the
-    satisfied relabelings, not the (n!)^2 permutation pairs.
-    """
-    base_pp = evaluate_pp(box, base)
-    swaps = (base.relabeling.alice_input_swap, base.relabeling.bob_input_swap)
+def _best_of(box: JointBox, kind: str, p, exhaustive_perms: bool):
+    """The relabeling search over identity input roles: (argument, success
+    mass, candidates) for the first candidate of largest mass, or None when
+    the box satisfies no relabeled argument. Validates kind, p and the box
+    first."""
+    arg, _ = build_argument(kind, box.scenario, p)
+    _check_box_for(box, arg)
     candidates, _block = _success_candidates(
-        box, base.kind, base.last_condition_bound, swaps, exhaustive_perms)
+        box, kind, arg.last_condition_bound, (False, False), exhaustive_perms)
+    best = max(candidates, key=lambda candidate: candidate[1], default=None)
+    if best is None:
+        return None
+    _cells, mass, rel = best
+    return HardyArgument(kind, box.scenario, rel, arg.last_condition_bound), mass, candidates
 
-    base_events = argument_events(base)
-    base_cells = frozenset((a, b) for (_x, _y, a, b) in base_events.success)
+
+def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates) -> PnResult:
+    """PN of base, whose success mass is base_pp, from the search's
+    candidates on base's input roles. Every family member is rechecked
+    against the box before it is returned."""
+    base_cells = frozenset((a, b) for (_x, _y, a, b) in argument_events(base).success)
     entries = [(base_cells, base_pp, base)]
     seen = {base_cells}
     for cells, mass, rel in candidates:
@@ -644,6 +662,25 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     return PnResult(total, tuple(family))
 
 
+def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = False) -> PnResult:
+    """PN: the largest total success mass over families of success-disjoint
+    relabeled arguments of base's kind, all satisfied by the box on base's
+    designated input pair. The base itself competes, so PN >= PP.
+
+    The relabeling search runs over cyclic shifts and reversals per input by
+    default; exhaustive_perms widens it to every outcome permutation, and
+    raises SearchBudgetExceeded before searching when some outcome count has
+    more than MAX_PERMUTATION_FAMILY permutations (more than 7 outcomes).
+    The search prunes on the box's positive cells, so its cost follows the
+    satisfied relabelings, not the (n!)^2 permutation pairs.
+    """
+    base_pp = evaluate_pp(box, base)
+    swaps = (base.relabeling.alice_input_swap, base.relabeling.bob_input_swap)
+    candidates, _block = _success_candidates(
+        box, base.kind, base.last_condition_bound, swaps, exhaustive_perms)
+    return _pn_of(box, base, base_pp, candidates)
+
+
 def ppc(box: JointBox, base: HardyArgument, exhaustive_perms: bool = False) -> Fraction:
     """Nonlocality not converted into success: PN minus PP for the base."""
     return compute_pn(box, base, exhaustive_perms).pn - evaluate_pp(box, base)
@@ -652,21 +689,22 @@ def ppc(box: JointBox, base: HardyArgument, exhaustive_perms: bool = False) -> F
 def best_satisfied_argument(box: JointBox, kind: str, p=_ZERO,
                             exhaustive_perms: bool = False):
     """The outcome-relabeled argument of the given kind (identity input roles)
-    with the largest success mass among those the box satisfies, or None.
-    Ties keep the first candidate in the deterministic search order. The
-    search and its budget are those of compute_pn."""
-    arg, _ = build_argument(kind, box.scenario, p)  # validates kind and p
-    _check_box_for(box, arg)
-    candidates, _block = _success_candidates(
-        box, kind, arg.last_condition_bound, (False, False), exhaustive_perms)
-    best = None
-    for cells, mass, rel in candidates:
-        if best is None or mass > best[1]:
-            best = (rel, mass)
+    with the largest success mass among those the box satisfies, with that
+    mass, or None. Ties keep the first candidate in the deterministic search
+    order. The search and its budget are those of compute_pn."""
+    best = _best_of(box, kind, p, exhaustive_perms)
+    return None if best is None else best[:2]
+
+
+def best_argument_with_pn(box: JointBox, kind: str, p=_ZERO, exhaustive_perms: bool = False):
+    """best_satisfied_argument's argument and mass together with compute_pn
+    of that argument, as (argument, PP, PnResult), or None; one relabeling
+    search serves both."""
+    best = _best_of(box, kind, p, exhaustive_perms)
     if best is None:
         return None
-    rel, mass = best
-    return HardyArgument(kind, box.scenario, rel, arg.last_condition_bound), mass
+    base, mass, candidates = best
+    return base, mass, _pn_of(box, base, mass, candidates)
 
 
 def _congruence_masses(arg: HardyArgument):

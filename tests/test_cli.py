@@ -261,6 +261,40 @@ def test_pn_exhaustive_output_is_byte_identical_to_golden(capsys, tmp_path, d, d
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# stdout sha256 of `nsbox verify --kind relaxed --exhaustive-perms` on the same
+# files, recorded when each command still ran the relabeling search twice
+GOLDEN_VERIFY_EXHAUSTIVE = [
+    (3, "05dd533bb6d6044539e8fe15e40910fb19d1aa1467b2baa007f01c382d133764"),
+    (4, "ea075ef21d26877947f8623d909a98e97efabf519b45659c36a1b2ba9a79edab"),
+    (5, "588fb6a7f62aa66299f477b6aabf2c1153d23d94ba6ddaf240d07418465ab79a"),
+]
+
+
+@pytest.mark.parametrize("d,digest", GOLDEN_VERIFY_EXHAUSTIVE)
+def test_verify_exhaustive_output_is_byte_identical_to_golden(capsys, tmp_path, d, digest):
+    path = write_relabeled_vertex(tmp_path, d)
+    code, out, _ = run(capsys, "verify", path, "--kind", "relaxed", "--exhaustive-perms")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["pn", "verify"])
+def test_one_relabeling_search_per_command(capsys, tmp_path, monkeypatch, command):
+    calls = []
+    search = hardy._satisfied_chains
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(hardy, "_satisfied_chains", counted)
+    for argv in ((write_relabeled_vertex(tmp_path, 4), "--exhaustive-perms"), (write_pr(tmp_path),)):
+        calls.clear()
+        code, _, _ = run(capsys, command, argv[0], "--kind", "relaxed", *argv[1:])
+        assert code == 0
+        assert len(calls) == 1, calls
+
+
 @pytest.mark.parametrize("command", ["pn", "verify"])
 def test_exhaustive_search_over_budget_exits_2(capsys, tmp_path, monkeypatch, command):
     monkeypatch.setattr(hardy, "MAX_PERMUTATION_FAMILY", 100)  # below 5! = 120

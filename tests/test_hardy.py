@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsbox import (
     MAX_LHV_STRATEGIES,
@@ -28,6 +29,7 @@ from nsbox import (
     SearchBudgetExceeded,
     argument_events,
     attaining_nonlocal_vertex,
+    best_argument_with_pn,
     best_satisfied_argument,
     build_argument,
     compute_pn,
@@ -521,6 +523,60 @@ def test_packing_of_many_overlapping_entries_keeps_the_first_maximum():
     assert picked == [entries[700]]
 
 
+def fraction_max_disjoint_mass(entries):
+    """Reference: the packing search as it was written over Fraction masses,
+    capped at Fraction 1, before it scaled the masses to ints."""
+    order = sorted(range(len(entries)),
+                   key=lambda i: (-entries[i][1], sorted(entries[i][0])))
+    cells = [entries[i][0] for i in order]
+    masses = [entries[i][1] for i in order]
+    suffix = [F(0)] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + masses[i]
+
+    best_total = F(0)
+    best_pick: tuple[int, ...] = ()
+    picked: list[int] = []
+
+    def search(i, used, total):
+        nonlocal best_total, best_pick
+        if total > best_total:
+            best_total, best_pick = total, tuple(picked)
+        while i < len(order) and min(total + suffix[i], F(1)) > best_total:
+            if used.isdisjoint(cells[i]):
+                picked.append(i)
+                search(i + 1, used | cells[i], total + masses[i])
+                picked.pop()
+            i += 1
+
+    search(0, frozenset(), F(0))
+    return best_total, [entries[order[i]] for i in best_pick]
+
+
+BIG_DENOMINATORS = (10**18 + 9, 2**61 - 1)
+packing_masses = st.one_of(
+    # few values, so equal masses and equal totals (ties) are common
+    st.sampled_from([F(1, 2), F(1, 3), F(1, 6), F(1, 4), F(2**60, 2**61 - 1),
+                     F(5 * 10**17, 10**18 + 9), F(1, 10**18 + 9), F(1, 2**61 - 1)]),
+    st.builds(lambda den, k: F(k % (den - 1) + 1, den), st.sampled_from(BIG_DENOMINATORS),
+              st.integers(0, 2**64)),
+)
+# cells of a 3 x 3 block, so the cell sets overlap often
+packing_cells = st.frozensets(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              min_size=1, max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(packing_cells, packing_masses), max_size=12))
+def test_integer_packing_matches_fraction_packing(pairs):
+    # catches a cap of 1 (not the common denominator) on the integer masses,
+    # and a flipped tie order (cells sorted in reverse, or the last optimum kept)
+    entries = [(cells, mass, index) for index, (cells, mass) in enumerate(pairs)]
+    total, picked = hardy._max_disjoint_mass(entries)
+    assert type(total) is Fraction
+    assert (total, picked) == fraction_max_disjoint_mass(entries)
+
+
 # ---------------------------------------------------------------------------
 # relabeling search: budget and agreement with the full enumeration
 
@@ -629,6 +685,41 @@ def test_search_matches_full_enumeration_d5(monkeypatch):
                                 (mixture(s), "relaxed", F(1, 3), (False, True)),
                                 (mixture(s), "conventional", F(0), (True, True))):
         assert_search_matches_full_enumeration(monkeypatch, box, kind, p, swaps, True)
+
+
+def assert_shared_search_matches_public_functions(box, kind, p, exhaustive):
+    found = best_argument_with_pn(box, kind, p, exhaustive)
+    best = best_satisfied_argument(box, kind, p, exhaustive)
+    if best is None:
+        assert found is None
+        return
+    arg, pp = best
+    pn = compute_pn(box, arg, exhaustive)
+    assert found is not None
+    assert found[0] == arg and found[1] == pp
+    assert found[2].pn == pn.pn and found[2].family == pn.family
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 4, 3), (4, 4, 4, 4)])
+def test_shared_search_matches_best_argument_then_pn(dims):
+    s = Scenario.from_dims(dims)
+    zero = deterministic_box(s, (0, 0), (0, 0))
+    for box in differential_boxes(dims) + [zero]:
+        for kind, p in ARGUMENT_CASES:
+            for exhaustive in (False, True):
+                assert_shared_search_matches_public_functions(box, kind, p, exhaustive)
+    # the uniform box satisfies no relabeled argument
+    assert best_argument_with_pn(uniform_box(s), "relaxed") is None
+
+
+def test_shared_search_matches_best_argument_then_pn_d5():
+    s = Scenario.symmetric(5)
+    perms = ((1, 0, 2, 3, 4), (2, 4, 1, 0, 3))
+    vertex = relabeled(nonlocal_vertex(s, (4, 4, 1)), perms, perms[::-1])
+    for box in (vertex, relabeled(nonlocal_vertex(s, (0, 1, 4)), perms[::-1], perms)):
+        for kind, p in ARGUMENT_CASES:
+            for exhaustive in (False, True):
+                assert_shared_search_matches_public_functions(box, kind, p, exhaustive)
 
 
 # ---------------------------------------------------------------------------
