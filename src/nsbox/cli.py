@@ -30,7 +30,6 @@ from .hardy import (
     KIND_CONVENTIONAL,
     KIND_RELAXED,
     OptimizationReport,
-    SearchBudgetExceeded,
     attaining_nonlocal_vertex,
     best_argument_with_pn,
     build_argument,
@@ -122,7 +121,7 @@ def _decimal(q: Fraction) -> str:
     return f"{q.numerator / q.denominator:.12g}"
 
 
-def sweep_rows(d_min: int, d_max: int, exhaustive_perms: bool = False) -> list[dict]:
+def sweep_rows(d_min: int, d_max: int) -> list[dict]:
     """One row per symmetric outcome count d: both arguments' no-signaling
     optima by fresh LP solves, the attaining congruence vertex's PPC via the
     relabeling search, and the quantum reference (d = 2 only)."""
@@ -134,9 +133,7 @@ def sweep_rows(d_min: int, d_max: int, exhaustive_perms: bool = False) -> list[d
         q_h = max_success_ns(conventional).optimum
         q_rh = max_success_ns(relaxed).optimum
         _label, vertex_box, pp = attaining_nonlocal_vertex(relaxed)
-        # every permutation is affordable only for small blocks
-        exhaustive = exhaustive_perms and d <= 4
-        pn = compute_pn(vertex_box, relaxed, exhaustive_perms=exhaustive).pn
+        pn = compute_pn(vertex_box, relaxed).pn
         ref = quantum_reference(KIND_CONVENTIONAL, d) if d == 2 else None
         rows.append({
             "d": d,
@@ -174,7 +171,7 @@ def cmd_sweep(args) -> int:
             f"got d-min={args.d_min}, d-max={args.d_max}",
             file=sys.stderr)
         return 2
-    text = render_sweep_csv(sweep_rows(args.d_min, args.d_max, args.exhaustive_perms))
+    text = render_sweep_csv(sweep_rows(args.d_min, args.d_max))
     if args.out == "-":
         sys.stdout.write(text)
         return 0
@@ -201,7 +198,7 @@ def cmd_verify(args) -> int:
         return 1
     try:
         best = best_argument_with_pn(box, args.kind, args.p, args.exhaustive_perms)
-    except SearchBudgetExceeded as exc:
+    except ValueError as exc:  # a bad --p, or a search over its budget
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"kind: {args.kind}")
@@ -234,7 +231,7 @@ def cmd_pn(args) -> int:
         return 1
     try:
         best = best_argument_with_pn(box, args.kind, args.p, args.exhaustive_perms)
-    except SearchBudgetExceeded as exc:
+    except ValueError as exc:  # a bad --p, or a search over its budget
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if best is None:
@@ -285,8 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cap", type=int, default=16,
                          help="upper guard for d-max (LPs grow quickly)")
     p_sweep.add_argument("--out", default="-", help="output path, or - for stdout")
-    p_sweep.add_argument("--exhaustive-perms", action="store_true",
-                         help="exhaustive relabeling search where affordable (d <= 4)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_vert = sub.add_parser("vertices", help="closed-form extremal boxes as JSON lines")

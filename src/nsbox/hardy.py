@@ -503,19 +503,21 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
     return rel
 
 
-def _satisfied_chains(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, bool],
-                      exhaustive: bool):
-    """All permutation chains whose relabeled argument the box satisfies.
+def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, bool],
+                        exhaustive: bool):
+    """Deterministic list of (success cells, mass, relabeling) for the first
+    satisfied permutation chain and every later one with positive success
+    mass; cells live on the designated block. Refuses, before any search, a
+    family larger than MAX_PERMUTATION_FAMILY.
 
     Each zero (or bounded) condition couples one Alice and one Bob
     permutation; _relation lists the pairs that satisfy it, so the work
-    follows the satisfied pairs rather than every pair. Refuses, before any
-    search, a family larger than MAX_PERMUTATION_FAMILY.
-
-    Returns (Alice's and Bob's families per logical input, their physical
-    inputs, success template, achievable), where achievable maps (index of
-    a0 perm, index of b0 perm) to a witness (index of a1 perm, index of b1
-    perm), deterministically chosen.
+    follows the satisfied pairs rather than every pair. Joining the three
+    relations maps each (a0 perm, b0 perm) that some chain reaches to a
+    deterministically chosen witness (a1 perm, b1 perm). The designated
+    block is scaled to ints once, by the lcm of its denominators, so a
+    chain's mass is an int sum over its success template cells, and only
+    the kept chains build their cells and relabeling.
     """
     _check_search_budget(box.scenario, exhaustive)
     ax, by, counts = _roles(box.scenario, swaps)
@@ -541,19 +543,7 @@ def _satisfied_chains(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, 
     for (ib0, ib1), ia1 in sorted(pair_witness.items()):
         for ia0 in b1_to_a0.get(ib1, ()):
             achievable.setdefault((ia0, ib0), (ia1, ib1))
-    return (fam_a, fam_b), (ax, by), t_success, achievable
 
-
-def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, bool],
-                        exhaustive: bool):
-    """Deterministic list of (success cells, mass, relabeling) for the first
-    satisfied permutation chain and every later one with positive success
-    mass; cells live on the designated block. The block is scaled to ints
-    once, by the lcm of its denominators, so a chain's mass is an int sum
-    over its template cells, and only the kept chains build their cells and
-    relabeling."""
-    (fam_a, fam_b), (ax, by), t_success, achievable = _satisfied_chains(
-        box, kind, p, swaps, exhaustive)
     x, y = ax[0], by[0]
     block = [[box.prob(x, y, a, b) for b in range(box.scenario.bob[y])]
              for a in range(box.scenario.alice[x])]
@@ -570,9 +560,9 @@ def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool
         pb = (pb0, fam_b[1][ib1])
         cells = frozenset((pa0[r], pb0[t]) for r, t in t_success)
         # a swap is its own inverse: physical input x plays logical input ax[x]
-        rel = Relabeling(swaps[0], swaps[1], (pa[ax[0]], pa[ax[1]]), (pb[by[0]], pb[by[1]]))
-        out.append((cells, Fraction(total, scale), rel))
-    return out, (x, y)
+        relabeling = Relabeling(swaps[0], swaps[1], (pa[ax[0]], pa[ax[1]]), (pb[by[0]], pb[by[1]]))
+        out.append((cells, Fraction(total, scale), relabeling))
+    return out
 
 
 def _max_disjoint_mass(entries):
@@ -622,7 +612,7 @@ def _best_of(box: JointBox, kind: str, p, exhaustive_perms: bool):
     first."""
     arg, _ = build_argument(kind, box.scenario, p)
     _check_box_for(box, arg)
-    candidates, _block = _success_candidates(
+    candidates = _success_candidates(
         box, kind, arg.last_condition_bound, (False, False), exhaustive_perms)
     best = max(candidates, key=lambda candidate: candidate[1], default=None)
     if best is None:
@@ -676,7 +666,7 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     """
     base_pp = evaluate_pp(box, base)
     swaps = (base.relabeling.alice_input_swap, base.relabeling.bob_input_swap)
-    candidates, _block = _success_candidates(
+    candidates = _success_candidates(
         box, base.kind, base.last_condition_bound, swaps, exhaustive_perms)
     return _pn_of(box, base, base_pp, candidates)
 

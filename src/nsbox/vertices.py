@@ -98,27 +98,23 @@ def nonlocal_vertex(scenario: Scenario, label) -> JointBox:
 def enumerate_vertices(scenario: Scenario, kind: str = "all"):
     """(label, box) pairs in lexicographic label order, locals before nonlocals.
 
-    Boxes with duplicate tables are dropped (first label wins). Labels are
-    LocalLabel / NonlocalLabel named tuples, so the family is recoverable
-    from the label type.
+    Every label gives a distinct table: local labels map one-to-one onto
+    each party's answers (offset, slope + offset) mod d, nonlocal labels onto
+    the difference classes of blocks (0, 0), (0, 1) and (1, 0), and local
+    tables hold 1s where nonlocal ones hold 1/d. Labels are LocalLabel /
+    NonlocalLabel named tuples, so the family is recoverable from the label
+    type.
     """
     if kind not in ("local", "nonlocal", "all"):
         raise ValueError(f"kind must be 'local', 'nonlocal' or 'all', got {kind!r}")
     d = scenario.min_outputs
     out: list[tuple[tuple[int, ...], JointBox]] = []
-    seen: set[tuple[Fraction, ...]] = set()
     if kind in ("local", "all"):
-        for label in itertools.product(range(d), repeat=4):
-            box = local_vertex(scenario, label)
-            if box.table not in seen:
-                seen.add(box.table)
-                out.append((LocalLabel(*label), box))
+        out += [(LocalLabel(*label), local_vertex(scenario, label))
+                for label in itertools.product(range(d), repeat=4)]
     if kind in ("nonlocal", "all"):
-        for label in itertools.product(range(d), repeat=3):
-            box = nonlocal_vertex(scenario, label)
-            if box.table not in seen:
-                seen.add(box.table)
-                out.append((NonlocalLabel(*label), box))
+        out += [(NonlocalLabel(*label), nonlocal_vertex(scenario, label))
+                for label in itertools.product(range(d), repeat=3)]
     return out
 
 

@@ -281,18 +281,26 @@ def test_verify_exhaustive_output_is_byte_identical_to_golden(capsys, tmp_path, 
 @pytest.mark.parametrize("command", ["pn", "verify"])
 def test_one_relabeling_search_per_command(capsys, tmp_path, monkeypatch, command):
     calls = []
-    search = hardy._satisfied_chains
+    search = hardy._success_candidates
 
     def counted(*args, **kwargs):
         calls.append(args[1:])
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(hardy, "_satisfied_chains", counted)
+    monkeypatch.setattr(hardy, "_success_candidates", counted)
     for argv in ((write_relabeled_vertex(tmp_path, 4), "--exhaustive-perms"), (write_pr(tmp_path),)):
         calls.clear()
         code, _, _ = run(capsys, command, argv[0], "--kind", "relaxed", *argv[1:])
         assert code == 0
         assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("command", ["pn", "verify"])
+@pytest.mark.parametrize("kind,p", [("conventional", "1/2"), ("relaxed", "3/2")])
+def test_bad_p_exits_2(capsys, tmp_path, command, kind, p):
+    code, _, err = run(capsys, command, write_pr(tmp_path), "--kind", kind, "--p", p)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
 
 
 @pytest.mark.parametrize("command", ["pn", "verify"])

@@ -647,11 +647,11 @@ def differential_boxes(dims):
 
 def assert_search_matches_full_enumeration(monkeypatch, box, kind, p, swaps, exhaustive):
     def search():
-        candidates, block = hardy._success_candidates(box, kind, p, swaps, exhaustive)
+        candidates = hardy._success_candidates(box, kind, p, swaps, exhaustive)
         if not candidates:
-            return candidates, block, None
+            return candidates, None
         base = HardyArgument(kind, box.scenario, candidates[0][2], p)
-        return candidates, block, compute_pn(box, base, exhaustive)
+        return candidates, compute_pn(box, base, exhaustive)
 
     fast = search()
     with monkeypatch.context() as m:

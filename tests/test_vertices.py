@@ -117,6 +117,9 @@ def test_enumeration_counts_and_dedup():
     assert len(enumerate_vertices(s3, "local")) == 81
     assert len(enumerate_vertices(s3, "nonlocal")) == 27
 
+    asym = enumerate_vertices(Scenario.from_dims([2, 3, 4, 3]), "all")  # d = 2
+    assert len(asym) == len({box.table for _label, box in asym}) == 2 ** 4 + 2 ** 3
+
 
 def test_local_family_is_complete_over_reduced_range():
     # at d = 2 and 3 the affine labels hit every deterministic strategy whose
