@@ -159,6 +159,10 @@ class JointBox:
     def prob(self, x: int, y: int, a: int, b: int) -> Fraction:
         return self.table[self.scenario.coord_index(x, y, a, b)]
 
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return _validate(self)
+
 
 def uniform_box(scenario: Scenario) -> JointBox:
     """The maximally mixed box: 1 / (alice[x] * bob[y]) on every block."""
@@ -302,9 +306,15 @@ def is_valid_box(box: JointBox) -> ValidationReport:
 
     Violations carry the builders' labels, in the order of a positivity scan
     in coordinate order followed by polytope_system(scenario).violations(box).
-    The table is scaled to ints by the lcm of its denominators and each
-    block's row and column sums are taken once; no constraint row is built.
+    A box is immutable, so it is checked once and the report is kept on it.
     """
+    return box._report
+
+
+def _validate(box: JointBox) -> ValidationReport:
+    """is_valid_box's check. The table is scaled to ints by the lcm of its
+    denominators and each block's row and column sums are taken once; no
+    constraint row is built."""
     s = box.scenario
     scale = math.lcm(*{p.denominator for p in box.table})
     cells = [p.numerator * (scale // p.denominator) for p in box.table]
@@ -392,6 +402,7 @@ def box_from_json_dict(data) -> JointBox:
         raise ValueError(f"box JSON: incomplete table, {len(entries)} entries for "
                          f"{scenario.num_coords} cells")
     table: list = [None] * scenario.num_coords
+    parsed: dict[str, Fraction] = {}  # each distinct "p" string is parsed once
     for k, cell in enumerate(entries):
         if not isinstance(cell, dict):
             raise ValueError(f"box JSON: table entry {k} is not an object")
@@ -408,10 +419,15 @@ def box_from_json_dict(data) -> JointBox:
         if table[idx] is not None:
             raise ValueError(
                 f"box JSON: duplicate cell (x={x}, y={y}, a={a}, b={b})")
-        try:
-            table[idx] = parse_rational(cell["p"])
-        except ValueError as exc:
-            raise ValueError(f"box JSON: table entry {k}: {exc}") from exc
+        text = cell["p"]
+        q = parsed.get(text) if isinstance(text, str) else None
+        if q is None:
+            try:
+                q = parse_rational(text)
+            except ValueError as exc:
+                raise ValueError(f"box JSON: table entry {k}: {exc}") from exc
+            parsed[text] = q  # parse_rational accepts only strings
+        table[idx] = q
     return JointBox(scenario, tuple(table))
 
 

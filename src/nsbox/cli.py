@@ -13,6 +13,7 @@ on every surface. Output is byte-deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -249,7 +250,10 @@ def cmd_pn(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main call in a process can share it."""
     parser = argparse.ArgumentParser(
         prog="nsbox",
         description="Exact no-signaling boxes and Hardy-type paradox optima.")

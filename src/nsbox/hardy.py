@@ -38,6 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .boxes import (
@@ -406,7 +407,10 @@ def _dihedral_perms(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@cache
 def _perm_family(n: int, exhaustive: bool) -> tuple[tuple[int, ...], ...]:
+    """The search's permutations of n outcomes, built once per (n, exhaustive);
+    callers check the budget first (_check_search_budget)."""
     if exhaustive:
         return tuple(itertools.permutations(range(n)))
     return _dihedral_perms(n)
@@ -427,10 +431,12 @@ def _check_search_budget(scenario: Scenario, exhaustive: bool) -> None:
             f"permutations per input, over the budget of {MAX_PERMUTATION_FAMILY}")
 
 
+@cache
 def _prefix_trie(family) -> dict:
     """The family's members as nested {outcome: subtrie} dicts, one level per
     rank, children in increasing outcome order; the last level maps to the
-    member's index in the family."""
+    member's index in the family. Built once per family and shared, so it is
+    never written to after it is built."""
     root: dict = {}
     for index, perm in sorted(enumerate(family), key=lambda item: item[1]):
         node = root
@@ -450,7 +456,8 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
     block's positive cells cost anything: cell (a, b) costs at rank t when
     (rank of a under the left permutation, t) is a template cell. A branch
     dies once its cost exceeds the bound, or once an outcome is still
-    unplaced after the last rank where it fits. Masses are nonnegative on a
+    unplaced after the last rank where it fits; both are tested before
+    descending, so a dead branch costs no call. Masses are nonnegative on a
     valid box, so costs only grow along a branch; they are scaled to exact
     integers over a common denominator.
     """
@@ -484,18 +491,20 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
         due = [0] * (n_right + 1)  # due[t]: bits of the outcomes fitting no rank >= t
         for b, t in enumerate(last):
             due[t + 1] |= 1 << b
+        if due[0]:
+            continue
         hits: list[int] = []
 
         def search(t, node, placed, total):
-            if t == n_right:
-                hits.append(node)
-                return
-            if due[t] & ~placed:
-                return
-            row = cost[t]
+            row, due_next, leaf = cost[t], due[t + 1], t + 1 == n_right
             for b, child in node.items():
-                if total + row[b] <= limit:
-                    search(t + 1, child, placed | 1 << b, total + row[b])
+                child_total, child_placed = total + row[b], placed | 1 << b
+                if child_total > limit or due_next & ~child_placed:
+                    continue
+                if leaf:
+                    hits.append(child)
+                else:
+                    search(t + 1, child, child_placed, child_total)
 
         search(0, trie, 0, 0)
         if hits:
@@ -505,9 +514,11 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
 
 def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, bool],
                         exhaustive: bool):
-    """Deterministic list of (success cells, mass, relabeling) for the first
+    """Deterministic list of (success cells, mass, chain) for the first
     satisfied permutation chain and every later one with positive success
-    mass; cells live on the designated block. Refuses, before any search, a
+    mass; cells live on the designated block, and a chain is the family
+    indices (ia0, ib0, ia1, ib1) of the logical inputs' permutations, which
+    _chain_relabeling turns into a Relabeling. Refuses, before any search, a
     family larger than MAX_PERMUTATION_FAMILY.
 
     Each zero (or bounded) condition couples one Alice and one Bob
@@ -517,7 +528,7 @@ def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool
     deterministically chosen witness (a1 perm, b1 perm). The designated
     block is scaled to ints once, by the lcm of its denominators, so a
     chain's mass is an int sum over its success template cells, and only
-    the kept chains build their cells and relabeling.
+    the kept chains build their cells and mass.
     """
     _check_search_budget(box.scenario, exhaustive)
     ax, by, counts = _roles(box.scenario, swaps)
@@ -555,14 +566,21 @@ def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool
         total = sum(block[pa0[r]][pb0[t]] for r, t in t_success)
         if not total and out:
             continue
-        ia1, ib1 = achievable[(ia0, ib0)]
-        pa = (pa0, fam_a[1][ia1])
-        pb = (pb0, fam_b[1][ib1])
         cells = frozenset((pa0[r], pb0[t]) for r, t in t_success)
-        # a swap is its own inverse: physical input x plays logical input ax[x]
-        relabeling = Relabeling(swaps[0], swaps[1], (pa[ax[0]], pa[ax[1]]), (pb[by[0]], pb[by[1]]))
-        out.append((cells, Fraction(total, scale), relabeling))
+        out.append((cells, Fraction(total, scale), (ia0, ib0) + achievable[(ia0, ib0)]))
     return out
+
+
+def _chain_relabeling(scenario: Scenario, swaps: tuple[bool, bool], exhaustive: bool,
+                      chain: tuple[int, int, int, int]) -> Relabeling:
+    """The relabeling of a chain (ia0, ib0, ia1, ib1) that _success_candidates
+    found with the same swaps and family kind."""
+    ax, by, counts = _roles(scenario, swaps)
+    fa0, fa1, fb0, fb1 = (_perm_family(n, exhaustive) for n in counts)
+    ia0, ib0, ia1, ib1 = chain
+    pa, pb = (fa0[ia0], fa1[ia1]), (fb0[ib0], fb1[ib1])
+    # a swap is its own inverse: physical input x plays logical input ax[x]
+    return Relabeling(swaps[0], swaps[1], (pa[ax[0]], pa[ax[1]]), (pb[by[0]], pb[by[1]]))
 
 
 def _max_disjoint_mass(entries):
@@ -617,32 +635,37 @@ def _best_of(box: JointBox, kind: str, p, exhaustive_perms: bool):
     best = max(candidates, key=lambda candidate: candidate[1], default=None)
     if best is None:
         return None
-    _cells, mass, rel = best
+    _cells, mass, chain = best
+    rel = _chain_relabeling(box.scenario, (False, False), exhaustive_perms, chain)
     return HardyArgument(kind, box.scenario, rel, arg.last_condition_bound), mass, candidates
 
 
-def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates) -> PnResult:
+def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates,
+           exhaustive: bool) -> PnResult:
     """PN of base, whose success mass is base_pp, from the search's
-    candidates on base's input roles. Every family member is rechecked
-    against the box before it is returned."""
+    candidates on base's input roles and family kind. Only the packed
+    chains become arguments, and every family member is rechecked against
+    the box before it is returned."""
     base_cells = frozenset((a, b) for (_x, _y, a, b) in argument_events(base).success)
-    entries = [(base_cells, base_pp, base)]
+    entries = [(base_cells, base_pp, None)]  # chain None: the base itself
     seen = {base_cells}
-    for cells, mass, rel in candidates:
-        if cells in seen:
-            continue
-        seen.add(cells)
-        arg = HardyArgument(base.kind, box.scenario, rel, base.last_condition_bound)
-        entries.append((cells, mass, arg))
+    for entry in candidates:
+        if entry[0] not in seen:
+            seen.add(entry[0])
+            entries.append(entry)
 
     positive = [e for e in entries if e[1] > 0]
     if not positive:
         return PnResult(_ZERO, (base,))
     total, picked = _max_disjoint_mass(positive)
 
+    swaps = (base.relabeling.alice_input_swap, base.relabeling.bob_input_swap)
     family = []
     claimed: set = set()
-    for cells, mass, arg in picked:
+    for cells, mass, chain in picked:
+        arg = base if chain is None else HardyArgument(
+            base.kind, box.scenario, _chain_relabeling(box.scenario, swaps, exhaustive, chain),
+            base.last_condition_bound)
         events = argument_events(arg)
         if (_violation(box.prob, events, arg.last_condition_bound) is not None
                 or _mass(box.prob, events.success) != mass or not claimed.isdisjoint(cells)):
@@ -668,7 +691,7 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     swaps = (base.relabeling.alice_input_swap, base.relabeling.bob_input_swap)
     candidates = _success_candidates(
         box, base.kind, base.last_condition_bound, swaps, exhaustive_perms)
-    return _pn_of(box, base, base_pp, candidates)
+    return _pn_of(box, base, base_pp, candidates, exhaustive_perms)
 
 
 def ppc(box: JointBox, base: HardyArgument, exhaustive_perms: bool = False) -> Fraction:
@@ -694,7 +717,7 @@ def best_argument_with_pn(box: JointBox, kind: str, p=_ZERO, exhaustive_perms: b
     if best is None:
         return None
     base, mass, candidates = best
-    return base, mass, _pn_of(box, base, mass, candidates)
+    return base, mass, _pn_of(box, base, mass, candidates, exhaustive_perms)
 
 
 def _congruence_masses(arg: HardyArgument):

@@ -25,6 +25,7 @@ from nsbox import (
     polytope_system,
     uniform_box,
 )
+from nsbox import boxes
 from nsbox.boxes import INPUT_PAIRS
 
 F = Fraction
@@ -221,6 +222,31 @@ def test_wire_strictness():
         box_from_json_dict({"scenario": {"dA": [2, 2]}, "table": []})
 
 
+def test_each_distinct_probability_string_is_parsed_once(monkeypatch):
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse(text)
+
+    parse = boxes.parse_rational
+    monkeypatch.setattr(boxes, "parse_rational", counted)
+    vertex = nonlocal_vertex(Scenario.symmetric(3), (2, 2, 1))
+    data = box_to_json_dict(vertex)
+    assert box_from_json_dict(data) == vertex
+    assert sorted(parsed) == sorted({cell["p"] for cell in data["table"]}) == ["0/1", "1/3"]
+
+    # spellings of one value are distinct strings; a bad string is reported at
+    # its own entry even after good strings were parsed
+    parsed.clear()
+    data["table"][4]["p"] = " 0/1"
+    assert box_from_json_dict(data) == vertex
+    assert sorted(parsed) == [" 0/1", "0/1", "1/3"]
+    data["table"][7]["p"] = "1/3x"
+    with pytest.raises(ValueError, match="^box JSON: table entry 7: not a rational: '1/3x'$"):
+        box_from_json_dict(data)
+
+
 def test_huge_declared_scenario_is_refused_before_allocating():
     # 4 * 10**12 declared cells against one table entry: refused as
     # incomplete without building a table of the declared size
@@ -311,6 +337,12 @@ def test_validation_matches_constraint_rows(box):
     report = is_valid_box(box)
     assert report.violations == tuple(expected)
     assert report.ok is not expected
+
+
+def test_validation_report_is_kept_on_the_box():
+    box = uniform_box(Scenario.from_dims([2, 3, 3, 2]))
+    assert is_valid_box(box) is is_valid_box(box)
+    assert box == JointBox(box.scenario, box.table)  # the kept report is not a field
 
 
 def test_validation_labels_every_kind_of_violation():

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nsbox import JointBox, Scenario, box_to_json, hardy, nonlocal_vertex
+import nsbox
+from nsbox import JointBox, Scenario, box_to_json, boxes, cli, hardy, nonlocal_vertex
 from nsbox.cli import main
 
 F = Fraction
@@ -293,6 +298,55 @@ def test_one_relabeling_search_per_command(capsys, tmp_path, monkeypatch, comman
         code, _, _ = run(capsys, command, argv[0], "--kind", "relaxed", *argv[1:])
         assert code == 0
         assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("command", ["pn", "verify"])
+def test_one_box_validation_per_command(capsys, tmp_path, monkeypatch, command):
+    # each ValidationReport is one pass over the box's table
+    reports = []
+    report = boxes.ValidationReport
+
+    def counted(*args):
+        reports.append(args)
+        return report(*args)
+
+    monkeypatch.setattr(boxes, "ValidationReport", counted)
+    for argv in ((write_relabeled_vertex(tmp_path, 4), "--exhaustive-perms"), (write_pr(tmp_path),)):
+        reports.clear()
+        code, _, _ = run(capsys, command, argv[0], "--kind", "relaxed", *argv[1:])
+        assert code == 0
+        assert len(reports) == 1, reports
+
+
+def test_parser_is_shared_without_leaking_state(capsys, tmp_path):
+    # in one process, each command prints what a fresh nsbox process prints
+    path = write_relabeled_vertex(tmp_path, 4)
+    commands = (["pn", path, "--kind", "relaxed", "--exhaustive-perms"],
+                ["verify", path, "--kind", "relaxed"],
+                ["pn", path, "--kind", "relaxed"])
+    src = str(Path(nsbox.__file__).resolve().parents[1])
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "nsbox.cli", *argv], capture_output=True,
+                               text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_families_and_tries_are_built_once_per_outcome_count(capsys, tmp_path):
+    hardy._perm_family.cache_clear()
+    hardy._prefix_trie.cache_clear()
+    path = write_relabeled_vertex(tmp_path, 4)
+    for _ in range(2):
+        assert run(capsys, "pn", path, "--kind", "relaxed", "--exhaustive-perms")[0] == 0
+    # one (4 outcomes, every permutation) family and its trie, for both commands
+    assert hardy._perm_family.cache_info().misses == 1
+    assert hardy._prefix_trie.cache_info().misses == 1
+    vertex = tmp_path / "identity4.json"
+    vertex.write_text(box_to_json(nonlocal_vertex(Scenario.symmetric(4), (3, 3, 1))))
+    assert run(capsys, "pn", str(vertex), "--kind", "relaxed")[0] == 0
+    assert hardy._perm_family.cache_info().misses == 2  # shifts and reversals of 4
+    assert hardy._prefix_trie.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("command", ["pn", "verify"])

@@ -646,11 +646,14 @@ def differential_boxes(dims):
 
 
 def assert_search_matches_full_enumeration(monkeypatch, box, kind, p, swaps, exhaustive):
+    # the full candidate lists, (cells, mass, chain) each, and PN of the
+    # first candidate's chain as the base argument
     def search():
         candidates = hardy._success_candidates(box, kind, p, swaps, exhaustive)
         if not candidates:
             return candidates, None
-        base = HardyArgument(kind, box.scenario, candidates[0][2], p)
+        rel = hardy._chain_relabeling(box.scenario, swaps, exhaustive, candidates[0][2])
+        base = HardyArgument(kind, box.scenario, rel, p)
         return candidates, compute_pn(box, base, exhaustive)
 
     fast = search()
