@@ -159,6 +159,16 @@ class JointBox:
     def prob(self, x: int, y: int, a: int, b: int) -> Fraction:
         return self.table[self.scenario.coord_index(x, y, a, b)]
 
+    def block(self, x: int, y: int) -> tuple[tuple[Fraction, ...], ...]:
+        """Block (x, y) as rows: row a holds P(a, b | x, y) for every b, a
+        slice of the table at the block's offset. The inputs are checked
+        once, not per cell as prob does."""
+        s = self.scenario
+        if x not in (0, 1) or y not in (0, 1):
+            raise ValueError(f"inputs must be 0 or 1, got x={x!r}, y={y!r}")
+        start, nb = s._offsets[(x, y)], s.bob[y]
+        return tuple(self.table[start + a * nb:start + (a + 1) * nb] for a in range(s.alice[x]))
+
     @cached_property
     def _report(self) -> "ValidationReport":
         return _validate(self)

@@ -119,7 +119,26 @@ def cmd_vertices(args) -> int:
 
 
 def _decimal(q: Fraction) -> str:
-    return f"{q.numerator / q.denominator:.12g}"
+    """q to 12 significant digits in the layout of the "%.12g" format, by
+    exact integer rounding (ties to even)."""
+    if not q:
+        return "0"
+    sign, q = "-" if q < 0 else "", abs(q)
+    # e is the exponent of the leading digit: 10**e <= q < 10**(e + 1)
+    e = len(str(q.numerator)) - len(str(q.denominator))
+    if q < Fraction(10) ** e:
+        e -= 1
+    digits = round(q / Fraction(10) ** (e - 11))
+    if digits == 10**12:
+        digits, e = 10**11, e + 1
+    text = str(digits)
+    if e < -4 or e >= 12:
+        mantissa = f"{text[0]}.{text[1:]}".rstrip("0").rstrip(".")
+        return f"{sign}{mantissa}e{e:+03d}"
+    if e < 0:
+        text = "0" * -e + text
+        e = 0
+    return sign + f"{text[:e + 1]}.{text[e + 1:]}".rstrip("0").rstrip(".")
 
 
 def sweep_rows(d_min: int, d_max: int) -> list[dict]:
@@ -151,7 +170,7 @@ def render_sweep_csv(rows: list[dict]) -> str:
               "q_H_gnst_dec,q_RH_gnst_dec,PPC_gnst_dec,quantum_ref")
     lines = [header]
     for row in rows:
-        ref = "" if row["quantum_ref"] is None else f"{row['quantum_ref']:.12g}"
+        ref = "" if row["quantum_ref"] is None else _decimal(row["quantum_ref"])
         lines.append(",".join([
             str(row["d"]),
             format_rational(row["q_H_gnst"]),

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -461,10 +460,8 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
     valid box, so costs only grow along a branch; they are scaled to exact
     integers over a common denominator.
     """
-    x, y = block
-    s = box.scenario
-    cells = [(a, b, q) for a in range(s.alice[x]) for b in range(s.bob[y])
-             if (q := box.prob(x, y, a, b)) > 0]
+    cells = [(a, b, q) for a, row in enumerate(box.block(*block))
+             for b, q in enumerate(row) if q > 0]
     scale = math.lcm(bound.denominator, *(q.denominator for _a, _b, q in cells))
     limit = bound.numerator * (scale // bound.denominator)
     cells = [(a, b, q.numerator * (scale // q.denominator)) for a, b, q in cells]
@@ -555,9 +552,7 @@ def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool
         for ia0 in b1_to_a0.get(ib1, ()):
             achievable.setdefault((ia0, ib0), (ia1, ib1))
 
-    x, y = ax[0], by[0]
-    block = [[box.prob(x, y, a, b) for b in range(box.scenario.bob[y])]
-             for a in range(box.scenario.alice[x])]
+    block = box.block(ax[0], by[0])
     scale = math.lcm(*(q.denominator for row in block for q in row))
     block = [[q.numerator * (scale // q.denominator) for q in row] for row in block]
     out = []
@@ -660,6 +655,11 @@ def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates,
     total, picked = _max_disjoint_mass(positive)
 
     swaps = (base.relabeling.alice_input_swap, base.relabeling.bob_input_swap)
+    blocks = {(x, y): box.block(x, y) for x, y in INPUT_PAIRS}
+
+    def entry(x, y, a, b):
+        return blocks[(x, y)][a][b]
+
     family = []
     claimed: set = set()
     for cells, mass, chain in picked:
@@ -667,8 +667,8 @@ def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates,
             base.kind, box.scenario, _chain_relabeling(box.scenario, swaps, exhaustive, chain),
             base.last_condition_bound)
         events = argument_events(arg)
-        if (_violation(box.prob, events, arg.last_condition_bound) is not None
-                or _mass(box.prob, events.success) != mass or not claimed.isdisjoint(cells)):
+        if (_violation(entry, events, arg.last_condition_bound) is not None
+                or _mass(entry, events.success) != mass or not claimed.isdisjoint(cells)):
             raise RuntimeError("internal error: inconsistent packing member")
         claimed.update(cells)
         family.append(arg)
@@ -726,24 +726,33 @@ def _congruence_masses(arg: HardyArgument):
 
     Label (xc, yc, shift) puts 1/d on the cells a, b < d of block (x, y) in
     difference class (b - a) mod d = (x*y + xc*x + yc*y + shift) mod d. Each
-    event set's cells are counted once per (block, class), so a label costs
-    four lookups per set."""
+    event set's cells are counted once per block, in a list indexed by
+    difference class, so a label costs four list lookups per set."""
     d = arg.scenario.min_outputs
     events = argument_events(arg)
 
     def counts(cells):
-        return Counter((x, y, (b - a) % d) for x, y, a, b in cells if a < d and b < d)
+        per_block = [[0] * d for _ in INPUT_PAIRS]  # block (x, y) at 2x + y
+        for x, y, a, b in cells:
+            if a < d and b < d:
+                per_block[2 * x + y][(b - a) % d] += 1
+        return per_block
 
-    zeros = [counts(zset) for zset in events.zeros]
-    success = counts(events.success)
+    (z00, z01, z10, z11), (u00, u01, u10, u11), (v00, v01, v10, v11) = (
+        counts(zset) for zset in events.zeros)
+    s00, s01, s10, s11 = counts(events.success)
     # each cell weighs 1/d: the third set's mass is within p iff it hits <= floor(p * d)
     limit = math.floor(arg.last_condition_bound * d)
-    for label in itertools.product(range(d), repeat=3):
-        xc, yc, shift = label
-        support = [(x, y, (x * y + xc * x + yc * y + shift) % d) for x, y in INPUT_PAIRS]
-        hits = [sum(c[k] for k in support) for c in zeros]
-        if not hits[0] and not hits[1] and hits[2] <= limit:
-            yield label, Fraction(sum(success[k] for k in support), d)
+    for xc in range(d):
+        for yc in range(d):
+            for shift in range(d):
+                k00, k01 = shift, (yc + shift) % d
+                k10, k11 = (xc + shift) % d, (1 + xc + yc + shift) % d
+                if (z00[k00] or z01[k01] or z10[k10] or z11[k11]
+                        or u00[k00] or u01[k01] or u10[k10] or u11[k11]
+                        or v00[k00] + v01[k01] + v10[k10] + v11[k11] > limit):
+                    continue
+                yield (xc, yc, shift), Fraction(s00[k00] + s01[k01] + s10[k10] + s11[k11], d)
 
 
 def attaining_nonlocal_vertex(arg: HardyArgument) -> tuple[NonlocalLabel, JointBox, Fraction]:
@@ -766,13 +775,17 @@ def attaining_nonlocal_vertex(arg: HardyArgument) -> tuple[NonlocalLabel, JointB
 
 @dataclass(frozen=True)
 class QuantumReference:
-    """A documented reference value; nothing quantum is ever computed here."""
+    """A documented reference value; nothing quantum is ever computed here.
+    value is the irrational constant rounded down to 30 decimal places, as
+    an exact Fraction."""
 
-    value: float
+    value: Fraction
     note: str
 
 
-_TWO_OUTCOME_QUANTUM = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
+# (5*sqrt(5) - 11)/2 = (sqrt(125) - 11)/2, floored at 30 decimal places:
+# isqrt(125 * 10**60) is floor(sqrt(125) * 10**30)
+_TWO_OUTCOME_QUANTUM = Fraction((math.isqrt(125 * 10**60) - 11 * 10**30) // 2, 10**30)
 
 
 def quantum_reference(kind: str, min_outputs: int) -> Optional[QuantumReference]:
@@ -780,9 +793,9 @@ def quantum_reference(kind: str, min_outputs: int) -> Optional[QuantumReference]
 
     The conventional argument's quantum optimum is (5*sqrt(5) - 11)/2, about
     0.09017, an irrational number that is the same for every outcome count;
-    it is carried as a documented decimal, never computed. The two-outcome
-    relaxed argument coincides with the conventional one; beyond two outcomes
-    no closed form is carried.
+    it is carried as a 30-place decimal from integer arithmetic, never
+    optimized. The two-outcome relaxed argument coincides with the
+    conventional one; beyond two outcomes no closed form is carried.
     """
     if kind == KIND_CONVENTIONAL:
         return QuantumReference(

@@ -1,13 +1,14 @@
 """Exact linear programming over the rationals.
 
 An exact presolve (variables forced to zero, empty and duplicate rows
-dropped) followed by a two-phase primal simplex on a tableau of int rows.
-Each pivot touches only the columns where the pivot row is nonzero. Bland's
-pivoting rule is used in both phases, so degenerate programs terminate
-without cycling. There is no floating-point code path: coefficients are
-validated to be exact (ints, Fractions, or rational strings) and every result
-is an exact ``fractions.Fraction``. Optimal solutions are
-basic feasible solutions, i.e. vertices of the feasible region.
+dropped) followed by a two-phase primal simplex on a tableau of int rows
+with no artificial columns. Each pivot touches only the columns where the
+pivot row is nonzero. Bland's pivoting rule is used in both phases, so
+degenerate programs terminate without cycling. There is no floating-point
+code path: coefficients are validated to be exact (ints, Fractions, or
+rational strings) and every result is an exact ``fractions.Fraction``.
+Optimal solutions are basic feasible solutions, i.e. vertices of the
+feasible region.
 
 Programs have the fixed shape
 
@@ -199,8 +200,10 @@ class _Simplex:
     times the row's entry in its basic column (> 0), so only the rational
     row's signs and ratios are kept, and they are all Bland's rule reads:
     the ratio test compares rhs_i / a_i by cross-multiplying, and the pivots
-    are those of a Fraction tableau. Columns: real variables, slacks,
-    [artificials], rhs."""
+    are those of a Fraction tableau. Columns: real variables, slacks, rhs.
+    An artificial variable has no column, as nothing reads one after phase
+    one's objective is set up: it keeps its index in the basis (width and
+    up, for ratio-test ties) and its initial entry, for that objective."""
 
     def __init__(self, num_vars: int, eq, ineq):
         self.n = num_vars
@@ -208,14 +211,13 @@ class _Simplex:
         constraints = [(*row, -1) for row in eq]
         constraints += [(*row, num_vars + k) for k, row in enumerate(ineq)]
         # A row with rhs < 0 is negated so phase one can start from b >= 0,
-        # and loses its basic slack. Each row without one gets an artificial
-        # column, basic in it, which phase one drives to zero.
-        artificial = width
-        total = width + sum(1 for _, rhs, _, slack in constraints if slack < 0 or rhs < 0) + 1
+        # and loses its basic slack. Each row without one is basic in an
+        # artificial variable of entry scale, which phase one drives to zero.
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
+        self.artificials: list[tuple[int, int]] = []  # (row, initial entry)
         for coeffs, rhs, scale, slack in constraints:
-            row = [0] * total
+            row = [0] * (width + 1)
             for j, c in coeffs:
                 row[j] = c
             row[-1] = rhs
@@ -223,11 +225,10 @@ class _Simplex:
                 row[slack] = scale
             if rhs < 0:
                 row = [-v for v in row]
+            g = gcd(scale, *row)
             if slack < 0 or rhs < 0:
-                slack = artificial
-                row[slack] = scale
-                artificial += 1
-            g = gcd(*row)
+                self.artificials.append((len(self.rows), scale // g))
+                slack = width + len(self.artificials) - 1
             self.rows.append([v // g for v in row] if g > 1 else row)
             self.basis.append(slack)
 
@@ -280,34 +281,30 @@ class _Simplex:
     def phase_one(self) -> bool:
         """Find a basic feasible solution; False means infeasible.
 
-        Rows without a basic slack carry an explicit artificial variable whose
-        total is then minimized (no elimination shortcut). Artificials never
-        re-enter: the entering scan stops at self.width.
+        The artificials' total is minimized (no elimination shortcut).
+        Artificials never re-enter: the entering scan stops at self.width.
         """
-        width, basis = self.width, self.basis
-        need = [i for i, b in enumerate(basis) if b >= width]
-        if not need:
+        if not self.artificials:
             return True
+        width = self.width
         # Phase-one objective: maximize -(sum of artificials). In reduced form
-        # over the current basis that is the column-wise sum of the rows that
+        # over the starting basis that is the column-wise sum of the rows that
         # carry artificials (their own columns contribute zero cost), here
-        # each over its basic entry, times the lcm of those entries.
-        common = lcm(*(self.rows[i][basis[i]] for i in need))
-        obj = [0] * len(self.rows[0])
-        for i in need:
+        # each over its artificial's entry, times the lcm of those entries.
+        common = lcm(*(entry for _, entry in self.artificials))
+        obj = [0] * (width + 1)
+        for i, entry in self.artificials:
             row = self.rows[i]
-            f = common // row[basis[i]]
+            f = common // entry
             for j in range(width):
                 v = row[j]
                 if v:
                     obj[j] += f * v
         self._bland(obj)  # bounded by construction, cannot return False
         # basic values are >= 0, so the artificials sum to 0 iff each is 0
-        if any(self.rows[i][-1] for i, b in enumerate(basis) if b >= width):
+        if any(self.rows[i][-1] for i, b in enumerate(self.basis) if b >= width):
             return False
         self._drive_out_artificials()
-        for i, row in enumerate(self.rows):
-            self.rows[i] = row[:width] + [row[-1]]
         return True
 
     def _drive_out_artificials(self) -> None:

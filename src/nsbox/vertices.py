@@ -9,9 +9,9 @@ d = min over the four inputs (outcomes at index >= d carry probability 0):
   whose outcome difference satisfies
   (b - a) mod d = (x*y + x_coeff*x + y_coeff*y + shift) mod d.
 
-Also provides the exact locality decision (an LP over all deterministic
-strategies), zero-padding embeddings between scenarios, and exact convex
-decomposition over arbitrary candidate boxes.
+Also provides the exact locality decision (an LP over the deterministic
+strategies that fit the box's support), zero-padding embeddings between
+scenarios, and exact convex decomposition over arbitrary candidate boxes.
 """
 
 from __future__ import annotations
@@ -174,13 +174,35 @@ def convex_decomposition(box: JointBox, candidates: Sequence[JointBox]) -> Optio
 
 def is_local(box: JointBox) -> bool:
     """Exact locality decision: membership in the convex hull of all
-    deterministic strategies (full outcome ranges, not just the first d),
-    each entering the mixture program as its four cells of weight 1."""
+    deterministic strategies (full outcome ranges, not just the first d).
+    A strategy hitting a zero cell has weight 0 in every mixture, so the
+    mixture program gets a column (four cells of weight 1) only for each
+    strategy whose four cells are positive, in lexicographic order: the
+    program that the presolve would leave of the full d^4-column one. A
+    congruence vertex gets no column, and no tableau."""
     report = is_valid_box(box)
     if not report:
         raise ValueError("invalid box: " + "; ".join(report.violations[:3]))
-    columns = [[(box.scenario.coord_index(x, y, fa[x], fb[y]), 1) for x, y in INPUT_PAIRS]
-               for fa, fb in deterministic_strategies(box.scenario)]
+    s = box.scenario
+
+    def support(x, y):
+        """Per outcome a, {b: flat index} of block (x, y)'s positive cells."""
+        start = s.coord_index(x, y, 0, 0)
+        return [{b: start + a * s.bob[y] + b for b, q in enumerate(row) if q}
+                for a, row in enumerate(box.block(x, y))]
+
+    s00, s01, s10, s11 = (support(x, y) for x, y in INPUT_PAIRS)
+    columns = []
+    for a0 in range(s.alice[0]):
+        for a1 in range(s.alice[1]):
+            for b0, i00 in s00[a0].items():
+                i10 = s10[a1].get(b0)
+                if i10 is None:
+                    continue
+                for b1, i01 in s01[a0].items():
+                    i11 = s11[a1].get(b1)
+                    if i11 is not None:
+                        columns.append(((i00, 1), (i01, 1), (i10, 1), (i11, 1)))
     return solve_max(_mixture_lp(columns, box)).status is LpStatus.OPTIMAL
 
 

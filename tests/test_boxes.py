@@ -377,3 +377,14 @@ def test_polytope_system_is_shared_and_left_unchanged():
         assert len(program.eq_constraints) == rows + (3 if p == 0 else 2)
         assert polytope_system(s) is system
         assert system.conditions is conditions and len(system.eq_rows()) == rows
+
+
+def test_block_rows_are_the_table_read_by_prob():
+    s = Scenario.from_dims((2, 3, 4, 2))
+    box = JointBox.from_function(s, lambda x, y, a, b: Fraction(1 + x + 2 * y + 3 * a + 5 * b, 97))
+    for x, y in INPUT_PAIRS:
+        assert box.block(x, y) == tuple(tuple(box.prob(x, y, a, b) for b in range(s.bob[y]))
+                                        for a in range(s.alice[x]))
+    for x, y in ((2, 0), (0, -1), (None, 1)):
+        with pytest.raises(ValueError, match="inputs must be 0 or 1"):
+            box.block(x, y)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -318,6 +319,27 @@ def test_one_box_validation_per_command(capsys, tmp_path, monkeypatch, command):
         assert len(reports) == 1, reports
 
 
+def test_search_reads_blocks_not_coordinates(capsys, tmp_path, monkeypatch):
+    # the relabeling search reads whole blocks as slices of the table; no
+    # coordinate it reads goes through Scenario.coord_index
+    path = write_relabeled_vertex(tmp_path, 5)
+    from_search = []
+    coord_index = Scenario.coord_index
+
+    def counted(self, *args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_globals.get("__name__") != "nsbox.hardy":
+            frame = frame.f_back
+        if frame is not None:
+            from_search.append(args)
+        return coord_index(self, *args)
+
+    monkeypatch.setattr(Scenario, "coord_index", counted)
+    code, out, _ = run(capsys, "pn", path, "--kind", "relaxed", "--exhaustive-perms")
+    assert code == 0 and json.loads(out)["pn"] == "1/1"
+    assert from_search == []
+
+
 def test_parser_is_shared_without_leaking_state(capsys, tmp_path):
     # in one process, each command prints what a fresh nsbox process prints
     path = write_relabeled_vertex(tmp_path, 4)
@@ -388,6 +410,19 @@ def test_sweep_small_range(capsys):
     assert [r[3] for r in rows] == ["1/2", "1/3", "1/4"]
     assert rows[0][7] != "" and rows[1][7] == "" and rows[2][7] == ""
     assert rows[0][7].startswith("0.0901699437")
+
+
+def test_decimal_rounds_like_twelve_digit_g_format():
+    # exact integer rounding prints what formatting the nearest float printed
+    rng = random.Random(12)
+    cases = [F(0), F(1), F(-3, 7), F(1, 8), F(10**12), F(10**12 - 1), F(999999999999, 10**17),
+             F(1, 10**5), F(123456789, 10**4), hardy.quantum_reference("conventional", 2).value]
+    for _ in range(3000):
+        k = rng.choice([10, 1000, 10**6, 10**13, 10**20])
+        cases.append(F(rng.randint(-k, k), rng.randint(1, k)))
+        cases.append(F(rng.randint(1, 10**6), 10**rng.randint(0, 20)))
+    for q in cases:
+        assert cli._decimal(q) == f"{q.numerator / q.denominator:.12g}", q
 
 
 def test_sweep_writes_file_deterministically(capsys, tmp_path):

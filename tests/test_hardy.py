@@ -446,6 +446,24 @@ def test_congruence_class_counts_match_per_label_scan(dims):
         assert list(hardy._congruence_masses(arg)) == list(satisfying.items()), arg
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_congruence_masses_match_built_vertices(d):
+    # brute force: build every congruence vertex and evaluate it
+    s = Scenario.symmetric(d)
+    vertices = [(label, nonlocal_vertex(s, label))
+                for label in itertools.product(range(d), repeat=3)]
+    for kind, p in (("conventional", F(0)), ("relaxed", F(0)), ("relaxed", F(1, 3))):
+        arg = build_argument(kind, s, p)[0]
+        expected = []
+        for label, box in vertices:
+            try:
+                expected.append((label, evaluate_pp(box, arg)))
+            except ArgumentNotSatisfied:
+                pass
+        assert expected
+        assert list(hardy._congruence_masses(arg)) == expected, (kind, p)
+
+
 # ---------------------------------------------------------------------------
 # PN and PPC
 
@@ -785,6 +803,15 @@ def test_quantum_reference_constant():
     assert abs(ref.value - 0.09016994374947425) < 1e-12
     assert 0.0901 < ref.value < 0.0902
     assert ref.note
+
+
+def test_quantum_reference_is_exact_to_thirty_places():
+    # (5*sqrt(5) - 11)/2 floored at 30 places: v is in [q - 10**-30, q], so
+    # 2v + 11 brackets 5*sqrt(5), whose square is 125
+    v = quantum_reference("conventional", 2).value
+    assert type(v) is Fraction
+    assert (10**30 * v).denominator == 1
+    assert (2 * v + 11) ** 2 <= 125 < (2 * (v + F(1, 10**30)) + 11) ** 2
 
 
 def test_quantum_reference_dimension_independent():

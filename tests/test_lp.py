@@ -750,3 +750,36 @@ def test_tableau_receives_only_ints():
         assert solve_max(ns_program(bounded)).status is LpStatus.OPTIMAL
         assert is_local(uniform_box(s)) and is_local(mixture_box(s, [3, 0, 5, 0, 0, 7]))
     assert len(received) == 11 and all(received)
+
+
+def test_tableau_rows_have_no_artificial_columns():
+    # every row holds the real and slack columns and the rhs, and nothing
+    # else, from set-up through both phases, artificials included
+    seen = []
+
+    class Checked(lp_module._Simplex):
+        def _check(self):
+            assert all(len(row) == self.width + 1 for row in self.rows)
+            seen.append(len(self.rows))
+
+        def __init__(self, num_vars, eq, ineq):
+            super().__init__(num_vars, eq, ineq)
+            self._check()
+
+        def _pivot(self, r, col, obj):
+            self._check()
+            obj = super()._pivot(r, col, obj)
+            self._check()
+            return obj
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_Simplex", Checked)
+        for kind in ("conventional", "relaxed"):
+            arg = build_argument(kind, Scenario.symmetric(3))[0]
+            assert solve_max(ns_program(arg)).status is LpStatus.OPTIMAL
+        bounded = build_argument("relaxed", Scenario.symmetric(3), p=F(1, 3))[0]
+        assert solve_max(ns_program(bounded)).status is LpStatus.OPTIMAL
+        assert is_local(uniform_box(Scenario.symmetric(3)))
+        # a negated <= row and an equality: two artificials, one a slack row's
+        assert check_feasible(program(2, [1, 1], [([1, 1], 1)], [([-1, 0], F(-1, 2))]))
+    assert seen

@@ -1,6 +1,7 @@
 """Closed-form extremal boxes: construction, validity, locality, extremality."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,9 @@ from nsbox import (
     polytope_dimension,
     uniform_box,
 )
+from nsbox import lp as lp_module
+from nsbox import vertices as vertices_module
+from nsbox.lp import LinearProgram, LpStatus, solve_max
 
 F = Fraction
 
@@ -170,6 +174,145 @@ def test_uniform_box_is_local_with_explicit_mixture():
 def test_uniform_box_is_local_at_four_outcomes():
     # 256 strategy columns: the largest mixture program in the tests
     assert is_local(uniform_box(Scenario.symmetric(4))) is True
+
+
+def full_mixture_program(box):
+    """Reference: the mixture program over every deterministic strategy, in
+    deterministic_strategies order, each a column of weight 1 on its four
+    cells, whatever the box's zeros."""
+    s = box.scenario
+    strategies = list(deterministic_strategies(s))
+    rows = [[] for _ in box.table]
+    for k, (fa, fb) in enumerate(strategies):
+        for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            rows[s.coord_index(x, y, fa[x], fb[y])].append((k, 1))
+    eq = list(zip(rows, box.table)) + [([(k, 1) for k in range(len(strategies))], 1)]
+    return LinearProgram(len(strategies), [0] * len(strategies), eq, [])
+
+
+def tableau_trace(fn, *args):
+    """fn(*args), with the inputs of every simplex tableau it built and the
+    pivots each one made."""
+    tableaus = []
+
+    class Recorded(lp_module._Simplex):
+        def __init__(self, num_vars, eq, ineq):
+            tableaus.append([(num_vars, eq, ineq)])
+            super().__init__(num_vars, eq, ineq)
+
+        def _pivot(self, r, col, obj):
+            tableaus[-1].append((r, col))
+            return super()._pivot(r, col, obj)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_Simplex", Recorded)
+        return fn(*args), tableaus
+
+
+def assert_is_local_matches_full_program(box):
+    verdict, tableaus = tableau_trace(is_local, box)
+    result, expected = tableau_trace(lambda: solve_max(full_mixture_program(box)))
+    assert verdict is (result.status is LpStatus.OPTIMAL)
+    assert tableaus == expected  # the same presolved program, the same pivots
+    return verdict
+
+
+def relabeled(box, rng):
+    s = box.scenario
+    pa = [rng.sample(range(n), n) for n in s.alice]
+    pb = [rng.sample(range(n), n) for n in s.bob]
+    return JointBox.from_function(s, lambda x, y, a, b: box.prob(x, y, pa[x][a], pb[y][b]))
+
+
+def deterministic_mixture(s, rng, k):
+    """A local box: k distinct deterministic strategies, rational weights."""
+    strategies = rng.sample(list(deterministic_strategies(s)), k)
+    weights = [rng.randint(1, 9) for _ in strategies]
+    table = [F(0)] * s.num_coords
+    for w, (fa, fb) in zip(weights, strategies):
+        for i, q in enumerate(deterministic_box(s, fa, fb).table):
+            table[i] += F(w, sum(weights)) * q
+    return JointBox(s, tuple(table)), strategies
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_is_local_matches_full_program_on_every_vertex(d):
+    for label, box in enumerate_vertices(Scenario.symmetric(d)):
+        assert assert_is_local_matches_full_program(box) is isinstance(label, LocalLabel)
+
+
+def test_is_local_matches_full_program_on_relabeled_boxes_d4():
+    s = Scenario.symmetric(4)
+    rng = random.Random(404)
+    cases = [(relabeled(local_vertex(s, rng.choices(range(4), k=4)), rng), True) for _ in range(3)]
+    cases += [(relabeled(nonlocal_vertex(s, rng.choices(range(4), k=3)), rng), False)
+              for _ in range(3)]
+    cases += [(relabeled(deterministic_mixture(s, rng, k)[0], rng), True) for k in (2, 3, 5)]
+    for box, local in cases:
+        assert assert_is_local_matches_full_program(box) is local
+
+
+def test_is_local_matches_full_program_on_noisy_congruence_vertex_d3():
+    s = Scenario.symmetric(3)
+    vertex, uniform = nonlocal_vertex(s, (0, 1, 2)), uniform_box(s)
+    verdicts = []
+    for lam in (F(1, 3), F(1, 2), F(5, 9), F(4, 7), F(3, 5), F(2, 3)):
+        box = JointBox(s, tuple(lam * v + (1 - lam) * u for v, u in zip(vertex.table, uniform.table)))
+        verdicts.append(assert_is_local_matches_full_program(box))
+    assert True in verdicts and False in verdicts  # both sides of the threshold
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 3, 2), (3, 2, 4, 3)])
+def test_is_local_matches_full_program_on_asymmetric_scenarios(dims):
+    s = Scenario.from_dims(dims)
+    rng = random.Random(sum(dims))
+    for label, box in enumerate_vertices(s):
+        assert assert_is_local_matches_full_program(box) is isinstance(label, LocalLabel)
+    for box in [uniform_box(s)] + [deterministic_mixture(s, rng, k)[0] for k in (1, 2, 4)]:
+        assert assert_is_local_matches_full_program(box) is True
+
+
+def locality_program(box):
+    """The LinearProgram is_local solves for box, and whether it built a tableau."""
+    programs, built = [], []
+
+    def recorded(lp):
+        programs.append(lp)
+        return solve_max(lp)
+
+    class Counted(lp_module._Simplex):
+        def __init__(self, *args):
+            built.append(True)
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(vertices_module, "solve_max", recorded)
+        m.setattr(lp_module, "_Simplex", Counted)
+        verdict = is_local(box)
+    assert len(programs) == 1
+    return verdict, programs[0], bool(built)
+
+
+def test_congruence_vertex_gets_no_column_and_no_tableau():
+    for d in (2, 3, 4):
+        s = Scenario.symmetric(d)
+        for label in ((0, 0, 0), (1, 2, 1), (d - 1, d - 1, 1)):
+            label = tuple(v % d for v in label)
+            verdict, program, built = locality_program(nonlocal_vertex(s, label))
+            assert verdict is False and program.num_vars == 0 and not built
+
+
+def test_mixture_gets_only_its_on_support_columns():
+    s = Scenario.symmetric(3)
+    rng = random.Random(3)
+    for k in (1, 2, 3):
+        box, strategies = deterministic_mixture(s, rng, k)
+        on_support = [(fa, fb) for fa, fb in deterministic_strategies(s)
+                      if all(box.prob(x, y, fa[x], fb[y]) for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)))]
+        verdict, program, _ = locality_program(box)
+        assert verdict is True
+        assert k <= program.num_vars == len(on_support) < 3 ** 4
+        assert set(strategies) <= set(on_support)
 
 
 def test_is_local_rejects_invalid_boxes():
