@@ -177,14 +177,20 @@ def _integer_row(values) -> list[int]:
 
 
 def _cancel(target: list[int], col: int, pivot, piv: int) -> list[int]:
-    """piv * target - target[col] * pivot, both factors divided by their gcd,
-    then by the gcd of its entries; pivot is a row's nonzero (j, v) pairs and
-    piv its entry in col. For piv > 0, a positive multiple of the rational
-    update target - target[col] / piv * pivot. May reuse target's list."""
+    """A multiple of the rational update target - target[col] / piv * pivot,
+    positive for piv > 0; pivot is a row's nonzero (j, v) pairs and piv its
+    entry in col. When piv divides target[col], that update itself, made in
+    place on target's list. Otherwise piv * target - target[col] * pivot,
+    both factors divided by their gcd, then by the gcd of its entries."""
     t = target[col]
+    if t % piv == 0:
+        t //= piv
+        for j, v in pivot:
+            target[j] -= t * v
+        return target
     g = gcd(piv, t)
     scale, t = piv // g, t // g
-    row = target if scale == 1 else [scale * v for v in target]
+    row = [scale * v for v in target]
     for j, v in pivot:
         row[j] -= t * v
     g = gcd(*row)
@@ -196,9 +202,11 @@ class _Simplex:
 
     Takes the presolved (pairs, rhs, scale) int rows as they are and is the
     one place they are expanded; scale is the row's slack or artificial
-    entry. Each row is ints with no common factor, the rational tableau row
-    times the row's entry in its basic column (> 0), so only the rational
-    row's signs and ratios are kept, and they are all Bland's rule reads:
+    entry. Each row is ints, the rational tableau row times a positive
+    factor (its entry in its basic column): a pivot that divides a row's
+    entry updates it in place and may leave a common factor, and a row it
+    scales up is divided by the gcd of its entries. So the rational row's
+    signs and ratios are kept, and they are all Bland's rule reads:
     the ratio test compares rhs_i / a_i by cross-multiplying, and the pivots
     are those of a Fraction tableau. Columns: real variables, slacks, rhs.
     An artificial variable has no column, as nothing reads one after phase

@@ -9,8 +9,9 @@ d = min over the four inputs (outcomes at index >= d carry probability 0):
   whose outcome difference satisfies
   (b - a) mod d = (x*y + x_coeff*x + y_coeff*y + shift) mod d.
 
-Also provides the exact locality decision (an LP over the deterministic
-strategies that fit the box's support), zero-padding embeddings between
+Also provides the exact locality decision (an LP over the triangulated
+marginal problem of Fine's theorem, at most 2 * d^3 columns where the
+deterministic strategies number d^4), zero-padding embeddings between
 scenarios, and exact convex decomposition over arbitrary candidate boxes.
 """
 
@@ -20,7 +21,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .boxes import INPUT_PAIRS, JointBox, Scenario, is_valid_box
+from .boxes import JointBox, Scenario, is_valid_box
 from .lp import LinearProgram, LpStatus, solve_max
 
 __all__ = [
@@ -175,35 +176,48 @@ def convex_decomposition(box: JointBox, candidates: Sequence[JointBox]) -> Optio
 def is_local(box: JointBox) -> bool:
     """Exact locality decision: membership in the convex hull of all
     deterministic strategies (full outcome ranges, not just the first d).
-    A strategy hitting a zero cell has weight 0 in every mixture, so the
-    mixture program gets a column (four cells of weight 1) only for each
-    strategy whose four cells are positive, in lexicographic order: the
-    program that the presolve would leave of the full d^4-column one. A
-    congruence vertex gets no column, and no tableau."""
+
+    Fine's theorem: a two-input box is local iff some joint distribution of
+    (a0, a1, b0, b1) has the four blocks as its pairwise marginals. The chord
+    a0-a1 triangulates the cycle a0-b0-a1-b1, so one exists iff tables
+    P0(a0, a1, b0) >= 0 for blocks (0, 0), (1, 0) and P1(a0, a1, b1) >= 0 for
+    blocks (0, 1), (1, 1) agree on their (a0, a1) marginal Q (the joint is
+    then P0 * P1 / Q). One column per entry P_y(a0, a1, b) whose two cells
+    are positive, in (y, a0, a1, b) order: +1 in both cells' rows, +1 (y = 0)
+    or -1 (y = 1) in the row of (a0, a1). Rows: the positive cells in
+    coordinate order, then the (a0, a1) pairs with rhs 0 (each block sums to
+    1 already). A congruence vertex is found nonlocal by the presolve."""
     report = is_valid_box(box)
     if not report:
         raise ValueError("invalid box: " + "; ".join(report.violations[:3]))
     s = box.scenario
+    cells = [i for i, q in enumerate(box.table) if q]
+    row_of = {i: r for r, i in enumerate(cells)}
 
     def support(x, y):
-        """Per outcome a, {b: flat index} of block (x, y)'s positive cells."""
+        """Per outcome a, {b: row} of block (x, y)'s positive cells."""
         start = s.coord_index(x, y, 0, 0)
-        return [{b: start + a * s.bob[y] + b for b, q in enumerate(row) if q}
+        return [{b: row_of[start + a * s.bob[y] + b] for b, q in enumerate(row) if q}
                 for a, row in enumerate(box.block(x, y))]
 
-    s00, s01, s10, s11 = (support(x, y) for x, y in INPUT_PAIRS)
-    columns = []
-    for a0 in range(s.alice[0]):
-        for a1 in range(s.alice[1]):
-            for b0, i00 in s00[a0].items():
-                i10 = s10[a1].get(b0)
-                if i10 is None:
-                    continue
-                for b1, i01 in s01[a0].items():
-                    i11 = s11[a1].get(b1)
-                    if i11 is not None:
-                        columns.append(((i00, 1), (i01, 1), (i10, 1), (i11, 1)))
-    return solve_max(_mixture_lp(columns, box)).status is LpStatus.OPTIMAL
+    na0, na1 = s.alice
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(len(cells) + na0 * na1)]
+    k = 0
+    for y, sign in ((0, 1), (1, -1)):
+        first, second = support(0, y), support(1, y)
+        for a0 in range(na0):
+            for a1 in range(na1):
+                marginal_row = rows[len(cells) + a0 * na1 + a1]
+                for b, r0 in first[a0].items():
+                    r1 = second[a1].get(b)
+                    if r1 is not None:
+                        rows[r0].append((k, 1))
+                        rows[r1].append((k, 1))
+                        marginal_row.append((k, sign))
+                        k += 1
+    rhs = [box.table[i] for i in cells] + [0] * (na0 * na1)
+    program = LinearProgram(k, [0] * k, list(zip(rows, rhs)), [])
+    return solve_max(program).status is LpStatus.OPTIMAL
 
 
 def embed(box: JointBox, target: Scenario) -> JointBox:

@@ -719,11 +719,86 @@ def test_ns_programs_match_fraction_tableau(kind, d):
         assert same_as_fraction_tableau(solve_max, lp).status is LpStatus.OPTIMAL
 
 
+def noisy(box, lam):
+    """lam * box + (1 - lam) * the uniform box."""
+    u = uniform_box(box.scenario)
+    return JointBox(box.scenario, tuple(lam * p + (1 - lam) * q for p, q in zip(box.table, u.table)))
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_locality_verdicts_match_fraction_tableau(d):
     s = Scenario.symmetric(d)
-    for box, local in ((uniform_box(s), True), (nonlocal_vertex(s, (0, 1, 1)), False)):
+    vertex = nonlocal_vertex(s, (0, 1, 1))
+    cases = [(uniform_box(s), True), (vertex, False)]
+    if d == 3:  # the noisy vertex on either side of its threshold
+        cases += [(noisy(vertex, F(1, 2)), True), (noisy(vertex, F(3, 5)), False)]
+    for box, local in cases:
         assert same_as_fraction_tableau(is_local, box) is local
+
+
+def tableau_snapshots(simplex, fn, *args):
+    """fn(*args) with lp's simplex swapped for the tableau class simplex, and
+    each tableau's rows (real and slack columns, then the rhs) after set-up
+    and after every pivot."""
+    snapshots = []
+
+    class Snapped(simplex):
+        def _snap(self):
+            snapshots.append([row[:self.width] + [row[-1]] for row in self.rows])
+
+        def __init__(self, num_vars, eq, ineq):
+            super().__init__(num_vars, eq, ineq)
+            self._snap()
+
+        def _pivot(self, r, col, obj):
+            obj = super()._pivot(r, col, obj)
+            self._snap()
+            return obj
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_Simplex", Snapped)
+        return fn(*args), snapshots
+
+
+def primitive(row):
+    """An int or rational row times the positive factor that makes it ints
+    with no common factor."""
+    scale = math.lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (scale // v.denominator) for v in row]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def rows_are_positive_multiples(fn, *args):
+    """fn(*args), checking that after set-up and every pivot each integer
+    tableau row is a positive multiple of the Fraction tableau's row; an
+    int row may keep a common factor. Returns fn's result."""
+    result, int_tableaus = tableau_snapshots(lp_module._Simplex, fn, *args)
+    expected, fraction_tableaus = tableau_snapshots(FractionSimplex, fn, *args)
+    assert result == expected and len(int_tableaus) == len(fraction_tableaus)
+    for int_rows, fraction_rows in zip(int_tableaus, fraction_tableaus):
+        assert all(type(v) is int for row in int_rows for v in row)
+        assert [primitive(row) for row in int_rows] == [primitive(row) for row in fraction_rows]
+    return result
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_integer_rows_are_positive_multiples_of_fraction_rows(d):
+    s = Scenario.symmetric(d)
+    for kind in ("conventional", "relaxed"):
+        for relabeling in (Relabeling(), seeded_relabeling(s, 10 * d)):
+            lp = ns_program(build_argument(kind, s, relabeling=relabeling)[0])
+            assert rows_are_positive_multiples(solve_max, lp).status is LpStatus.OPTIMAL
+    # a box with every cell positive takes seconds on the Fraction tableau
+    # from d = 4 (noisy) and d = 5 (uniform) on
+    boxes = [(mixture_box(s, [3, 0, 5, 0, 0, 7]), True)]
+    if d < 5:
+        boxes.append((uniform_box(s), True))
+    if d < 4:
+        vertex = nonlocal_vertex(s, (0, 1, 1))
+        boxes += [(noisy(vertex, F(1, 2)), True), (noisy(vertex, F(3, 5)), False)]
+    for box, local in boxes:
+        assert rows_are_positive_multiples(is_local, box) is local
 
 
 def test_tableau_receives_only_ints():

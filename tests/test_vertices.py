@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -172,8 +173,13 @@ def test_uniform_box_is_local_with_explicit_mixture():
 
 
 def test_uniform_box_is_local_at_four_outcomes():
-    # 256 strategy columns: the largest mixture program in the tests
+    # 128 columns, a fraction of the 256 deterministic strategies
     assert is_local(uniform_box(Scenario.symmetric(4))) is True
+
+
+def test_uniform_box_is_local_at_five_outcomes():
+    # 250 columns, against 625 deterministic strategies
+    assert is_local(uniform_box(Scenario.symmetric(5))) is True
 
 
 def full_mixture_program(box):
@@ -190,30 +196,93 @@ def full_mixture_program(box):
     return LinearProgram(len(strategies), [0] * len(strategies), eq, [])
 
 
-def tableau_trace(fn, *args):
-    """fn(*args), with the inputs of every simplex tableau it built and the
-    pivots each one made."""
-    tableaus = []
+def locality_program(box):
+    """The LinearProgram is_local solves for box, and whether it built a tableau."""
+    programs, built = [], []
 
-    class Recorded(lp_module._Simplex):
-        def __init__(self, num_vars, eq, ineq):
-            tableaus.append([(num_vars, eq, ineq)])
-            super().__init__(num_vars, eq, ineq)
+    def recorded(lp):
+        programs.append(lp)
+        return solve_max(lp)
 
-        def _pivot(self, r, col, obj):
-            tableaus[-1].append((r, col))
-            return super()._pivot(r, col, obj)
+    class Counted(lp_module._Simplex):
+        def __init__(self, *args):
+            built.append(True)
+            super().__init__(*args)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(lp_module, "_Simplex", Recorded)
-        return fn(*args), tableaus
+        m.setattr(vertices_module, "solve_max", recorded)
+        m.setattr(lp_module, "_Simplex", Counted)
+        verdict = is_local(box)
+    assert len(programs) == 1
+    return verdict, programs[0], bool(built)
+
+
+def marginal_columns(box):
+    """Reference: the (y, a0, a1, b) label of each column of the
+    triangulated marginal program, in order, and its rows as a {row: coeff}
+    dict; the rows are the positive cells in coordinate order, then the
+    (a0, a1) pairs."""
+    s = box.scenario
+    na0, na1 = s.alice
+    cells = [i for i, q in enumerate(box.table) if q]
+    labels, columns = [], []
+    for y in (0, 1):
+        for a0, a1, b in itertools.product(range(na0), range(na1), range(s.bob[y])):
+            i, j = s.coord_index(0, y, a0, b), s.coord_index(1, y, a1, b)
+            if box.table[i] and box.table[j]:
+                labels.append((y, a0, a1, b))
+                columns.append({cells.index(i): 1, cells.index(j): 1,
+                                len(cells) + a0 * na1 + a1: 1 if y == 0 else -1})
+    return labels, columns
+
+
+def assert_marginal_program_shape(box, program):
+    """program is the triangulated marginal program of box: at most
+    na0 * na1 * (nb0 + nb1) columns of three entries, each with both cells
+    positive, one row per positive cell and one per (a0, a1)."""
+    s = box.scenario
+    na0, na1 = s.alice
+    cells = [i for i, q in enumerate(box.table) if q]
+    labels, expected = marginal_columns(box)
+    assert program.num_vars == len(labels) <= na0 * na1 * sum(s.bob)
+    assert list(program.objective) == [0] * program.num_vars and not program.ineq_constraints
+    rows = program.eq_constraints
+    assert [rhs for _, rhs in rows] == [box.table[i] for i in cells] + [0] * (na0 * na1)
+    columns = [{} for _ in range(program.num_vars)]
+    for r, (row, _) in enumerate(rows):
+        for k, c in row:
+            columns[k][r] = c
+    assert columns == expected
+
+
+def assert_glued_mixture_reproduces(box, program):
+    """The solved marginal program glued into weights over the deterministic
+    strategies, w(a0, a1, b0, b1) = P0(a0, a1, b0) * P1(a0, a1, b1) / Q(a0, a1),
+    sums to 1 and reproduces box exactly."""
+    s = box.scenario
+    p, q = [{}, {}], {}
+    for (y, a0, a1, b), v in zip(marginal_columns(box)[0], solve_max(program).solution):
+        p[y][a0, a1, b] = v
+        if y == 0:
+            q[a0, a1] = q.get((a0, a1), 0) + v
+    total, mixed = 0, [F(0)] * s.num_coords
+    for fa, fb in deterministic_strategies(s):
+        p0, p1 = p[0].get((*fa, fb[0])), p[1].get((*fa, fb[1]))
+        if p0 and p1:
+            w = p0 * p1 / q[fa]
+            assert w > 0
+            total += w
+            for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                mixed[s.coord_index(x, y, fa[x], fb[y])] += w
+    assert total == 1 and tuple(mixed) == box.table
 
 
 def assert_is_local_matches_full_program(box):
-    verdict, tableaus = tableau_trace(is_local, box)
-    result, expected = tableau_trace(lambda: solve_max(full_mixture_program(box)))
-    assert verdict is (result.status is LpStatus.OPTIMAL)
-    assert tableaus == expected  # the same presolved program, the same pivots
+    verdict, program, _ = locality_program(box)
+    assert verdict is (solve_max(full_mixture_program(box)).status is LpStatus.OPTIMAL)
+    assert_marginal_program_shape(box, program)
+    if verdict:
+        assert_glued_mixture_reproduces(box, program)
     return verdict
 
 
@@ -272,34 +341,61 @@ def test_is_local_matches_full_program_on_asymmetric_scenarios(dims):
         assert assert_is_local_matches_full_program(box) is True
 
 
-def locality_program(box):
-    """The LinearProgram is_local solves for box, and whether it built a tableau."""
-    programs, built = [], []
+def random_vertex_mixture(rng):
+    """A seeded box: outcome counts in {2, 3, 4} per input, a mixture of 1
+    to 4 relabeled vertices (local or congruence), uniform noise 30% of the
+    time."""
+    s = Scenario.from_dims([rng.randint(2, 4) for _ in range(4)])
+    family = enumerate_vertices(s)
+    parts = [relabeled(rng.choice(family)[1], rng) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        parts.append(uniform_box(s))
+    weights = [rng.randint(1, 9) for _ in parts]
+    table = [sum(F(w, sum(weights)) * part.table[i] for w, part in zip(weights, parts))
+             for i in range(s.num_coords)]
+    return JointBox(s, tuple(table))
 
-    def recorded(lp):
-        programs.append(lp)
-        return solve_max(lp)
 
-    class Counted(lp_module._Simplex):
-        def __init__(self, *args):
-            built.append(True)
-            super().__init__(*args)
+def test_is_local_matches_full_program_on_seeded_random_boxes():
+    rng = random.Random(1414)
+    verdicts = [assert_is_local_matches_full_program(random_vertex_mixture(rng)) for _ in range(150)]
+    assert True in verdicts and False in verdicts
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(vertices_module, "solve_max", recorded)
-        m.setattr(lp_module, "_Simplex", Counted)
-        verdict = is_local(box)
-    assert len(programs) == 1
-    return verdict, programs[0], bool(built)
+
+def test_locality_program_shape():
+    # uniform d = 3: 54 columns over 45 rows, against 81 deterministic strategies
+    for box in (uniform_box(Scenario.symmetric(3)), uniform_box(Scenario.from_dims([2, 3, 4, 3])),
+                pr_box(), embed(pr_box(), Scenario.symmetric(3))):
+        assert_marginal_program_shape(box, locality_program(box)[1])
+    program = locality_program(uniform_box(Scenario.symmetric(3)))[1]
+    assert (program.num_vars, len(program.eq_constraints)) == (54, 45)
+
+
+def test_local_verdicts_carry_a_glued_mixture():
+    # P0 * P1 / Q over the strategies reproduces every local box exactly
+    boxes = [uniform_box(Scenario.symmetric(d)) for d in (2, 3, 4, 5)]
+    boxes += [local_vertex(Scenario.symmetric(2), label)
+              for label in itertools.product(range(2), repeat=4)]
+    small = local_vertex(Scenario.symmetric(2), (1, 1, 0, 1))
+    boxes.append(embed(small, Scenario.from_dims([3, 2, 2, 4])))
+    rng = random.Random(7)
+    boxes += [deterministic_mixture(Scenario.symmetric(3), rng, k)[0] for k in (1, 2, 3)]
+    for box in boxes:
+        verdict, program, _ = locality_program(box)
+        assert verdict is True
+        assert_glued_mixture_reproduces(box, program)
 
 
 def test_congruence_vertex_gets_no_column_and_no_tableau():
-    for d in (2, 3, 4):
+    # its 2d columns each meet a one-signed (a0, a1) row, so the presolve
+    # forces them to 0 and finds a positive cell no column reaches
+    for d in (2, 3, 4, 5):
         s = Scenario.symmetric(d)
         for label in ((0, 0, 0), (1, 2, 1), (d - 1, d - 1, 1)):
             label = tuple(v % d for v in label)
             verdict, program, built = locality_program(nonlocal_vertex(s, label))
-            assert verdict is False and program.num_vars == 0 and not built
+            assert verdict is False and not built
+            assert program.num_vars == 2 * d
 
 
 def test_mixture_gets_only_its_on_support_columns():
@@ -307,12 +403,17 @@ def test_mixture_gets_only_its_on_support_columns():
     rng = random.Random(3)
     for k in (1, 2, 3):
         box, strategies = deterministic_mixture(s, rng, k)
-        on_support = [(fa, fb) for fa, fb in deterministic_strategies(s)
-                      if all(box.prob(x, y, fa[x], fb[y]) for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)))]
         verdict, program, _ = locality_program(box)
         assert verdict is True
-        assert k <= program.num_vars == len(on_support) < 3 ** 4
-        assert set(strategies) <= set(on_support)
+        cells = [i for i, q in enumerate(box.table) if q]
+        cell_rows = program.eq_constraints[:len(cells)]
+        assert [rhs for _, rhs in cell_rows] == [box.table[i] for i in cells]
+        # both cells of every column are positive: it sits in two cell rows
+        hits = Counter(k for row, _ in cell_rows for k, _ in row)
+        assert hits == {k: 2 for k in range(program.num_vars)}
+        labels = marginal_columns(box)[0]
+        for (a0, a1), (b0, b1) in strategies:
+            assert (0, a0, a1, b0) in labels and (1, a0, a1, b1) in labels
 
 
 def test_is_local_rejects_invalid_boxes():
