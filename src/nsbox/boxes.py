@@ -8,7 +8,8 @@ text, violation labels) uses 1-based outcomes and 0-based inputs.
 Coordinates are ordered lexicographically by (x, y, a, b). That single
 bijection fixes the variable order of every linear program built here and
 the serialization order of every table, so independently produced artifacts
-line up index-for-index.
+line up index-for-index. Each polytope condition is one labeled row, and
+validation reports a broken one once, under that label.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ PARTIES = ("A", "B")
 INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 _ZERO = Fraction(0)
-_ORIENTATIONS = ((0, 1), (1, 0))  # (near, far) inputs of a no-signaling row's two sides
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,9 @@ def _normalization_label(x: int, y: int) -> str:
     return f"normalization: block (x={x}, y={y}) sums to 1"
 
 
-def _nosignaling_label(party: str, own: int, outcome: int, near: int, far: int) -> str:
+def _nosignaling_label(party: str, own: int, outcome: int) -> str:
     o, i, f = ("a", "x", "y") if party == "A" else ("b", "y", "x")
-    return f"no-signaling: P({o}={outcome + 1} | {i}={own}) via {f}={near} equals via {f}={far}"
+    return f"no-signaling: P({o}={outcome + 1} | {i}={own}) via {f}=0 equals via {f}=1"
 
 
 def build_positivity(scenario: Scenario) -> ConstraintSystem:
@@ -265,31 +265,25 @@ def build_normalization(scenario: Scenario) -> ConstraintSystem:
 
 
 def build_nosignaling(scenario: Scenario) -> ConstraintSystem:
-    """Marginal-agreement rows, one per (input, outcome, ordered far-input pair).
-
-    Both orientations of each equality are emitted and retained, keeping row
-    indices aligned with this fixed catalog; downstream solvers tolerate the
-    redundancy. All-dims-2 scenarios get 8 Alice rows and 8 Bob rows.
+    """Marginal-agreement rows, one per (party, own input, outcome): the
+    party's marginal summed on far input 0 minus the same marginal summed on
+    far input 1 equals 0. All-dims-2 scenarios get 4 Alice rows and 4 Bob rows.
     """
-    def row(near, far):
-        return tuple(sorted([(i, 1) for i in near] + [(i, -1) for i in far]))
+    def row(via0, via1):
+        return tuple(sorted([(i, 1) for i in via0] + [(i, -1) for i in via1]))
 
     idx = scenario.coord_index
     conds = []
     for x in (0, 1):
         for a in range(scenario.alice[x]):
-            for y_near, y_far in _ORIENTATIONS:
-                coeffs = row([idx(x, y_near, a, b) for b in range(scenario.bob[y_near])],
-                             [idx(x, y_far, a, b) for b in range(scenario.bob[y_far])])
-                conds.append(LinearCondition(
-                    coeffs, 0, "eq", _nosignaling_label("A", x, a, y_near, y_far)))
+            coeffs = row([idx(x, 0, a, b) for b in range(scenario.bob[0])],
+                         [idx(x, 1, a, b) for b in range(scenario.bob[1])])
+            conds.append(LinearCondition(coeffs, 0, "eq", _nosignaling_label("A", x, a)))
     for y in (0, 1):
         for b in range(scenario.bob[y]):
-            for x_near, x_far in _ORIENTATIONS:
-                coeffs = row([idx(x_near, y, a, b) for a in range(scenario.alice[x_near])],
-                             [idx(x_far, y, a, b) for a in range(scenario.alice[x_far])])
-                conds.append(LinearCondition(
-                    coeffs, 0, "eq", _nosignaling_label("B", y, b, x_near, x_far)))
+            coeffs = row([idx(0, y, a, b) for a in range(scenario.alice[0])],
+                         [idx(1, y, a, b) for a in range(scenario.alice[1])])
+            conds.append(LinearCondition(coeffs, 0, "eq", _nosignaling_label("B", y, b)))
     return ConstraintSystem(scenario, tuple(conds))
 
 
@@ -314,8 +308,9 @@ class ValidationReport:
 def is_valid_box(box: JointBox) -> ValidationReport:
     """Exact membership check: positivity, normalization, no-signaling.
 
-    Violations carry the builders' labels, in the order of a positivity scan
-    in coordinate order followed by polytope_system(scenario).violations(box).
+    Violations carry the builders' labels, one per broken row, in the order
+    of a positivity scan in coordinate order followed by
+    polytope_system(scenario).violations(box).
     A box is immutable, so it is checked once and the report is kept on it.
     """
     return box._report
@@ -341,8 +336,7 @@ def _validate(box: JointBox) -> ValidationReport:
         for own in (0, 1):
             for outcome, (p0, p1) in enumerate(zip(margins[party, own, 0], margins[party, own, 1])):
                 if p0 != p1:
-                    violations.extend(_nosignaling_label(party, own, outcome, near, far)
-                                      for near, far in _ORIENTATIONS)
+                    violations.append(_nosignaling_label(party, own, outcome))
     return ValidationReport(not violations, tuple(violations))
 
 

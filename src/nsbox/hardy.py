@@ -417,8 +417,9 @@ def _perm_family(n: int, exhaustive: bool) -> tuple[tuple[int, ...], ...]:
 
 def permutation_family_size(n: int, exhaustive: bool) -> int:
     """How many permutations the relabeling search tries per input with n
-    outcomes: n! with exhaustive, else the distinct shifts and reversals."""
-    return math.factorial(n) if exhaustive else len(_dihedral_perms(n))
+    outcomes: n! with exhaustive, else the 2n distinct shifts and reversals
+    (n for n <= 2, where they coincide), counted without building them."""
+    return math.factorial(n) if exhaustive else 2 * n if n > 2 else n
 
 
 def _check_search_budget(scenario: Scenario, exhaustive: bool) -> None:
@@ -451,14 +452,15 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
     when bound is 0); left indices without such a pair are left out.
 
     For each left permutation, a depth-first search assigns the right one
-    rank by rank along prefixes of the right family's members. Only the
-    block's positive cells cost anything: cell (a, b) costs at rank t when
-    (rank of a under the left permutation, t) is a template cell. A branch
-    dies once its cost exceeds the bound, or once an outcome is still
-    unplaced after the last rank where it fits; both are tested before
-    descending, so a dead branch costs no call. Masses are nonnegative on a
-    valid box, so costs only grow along a branch; they are scaled to exact
-    integers over a common denominator.
+    rank by rank along prefixes of the right family's members; it keeps its
+    branches on an explicit stack, since a branch is as deep as the outcome
+    count. Only the block's positive cells cost anything: cell (a, b) costs
+    at rank t when (rank of a under the left permutation, t) is a template
+    cell. A branch dies once its cost exceeds the bound, or once an outcome
+    is still unplaced after the last rank where it fits; both are tested
+    before it is pushed, so a dead branch costs no stack entry. Masses are
+    nonnegative on a valid box, so costs only grow along a branch; they are
+    scaled to exact integers over a common denominator.
     """
     cells = [(a, b, q) for a, row in enumerate(box.block(*block))
              for b, q in enumerate(row) if q > 0]
@@ -491,8 +493,9 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
         if due[0]:
             continue
         hits: list[int] = []
-
-        def search(t, node, placed, total):
+        stack = [(0, trie, 0, 0)]  # (rank, trie node, placed bits, cost)
+        while stack:
+            t, node, placed, total = stack.pop()
             row, due_next, leaf = cost[t], due[t + 1], t + 1 == n_right
             for b, child in node.items():
                 child_total, child_placed = total + row[b], placed | 1 << b
@@ -501,9 +504,7 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
                 if leaf:
                     hits.append(child)
                 else:
-                    search(t + 1, child, child_placed, child_total)
-
-        search(0, trie, 0, 0)
+                    stack.append((t + 1, child, child_placed, child_total))
         if hits:
             rel[ia] = sorted(hits)
     return rel

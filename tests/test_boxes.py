@@ -100,7 +100,7 @@ def test_nosignaling_row_counts_all_dims_2():
     system = build_nosignaling(Scenario.symmetric(2))
     alice = [c for c in system.conditions if "P(a=" in c.label]
     bob = [c for c in system.conditions if "P(b=" in c.label]
-    assert len(alice) == 8 and len(bob) == 8
+    assert len(alice) == 4 and len(bob) == 4
 
 
 def test_pr_box_satisfies_everything():
@@ -122,8 +122,8 @@ def test_signaling_table_fails_one_alice_marginal():
     tampered = JointBox(s, tuple(table))
     violated = build_nosignaling(s).violations(tampered)
     alice_rows = [v for v in violated if "P(a=" in v]
-    # one distinct Alice marginal equality, present in both emitted orientations
-    assert len(alice_rows) == 2
+    # one Alice marginal equality is broken, and the catalog states it once
+    assert len(alice_rows) == 1
     assert all("P(a=1 | x=0)" in row for row in alice_rows)
     assert not is_valid_box(tampered).ok
 
@@ -358,7 +358,7 @@ def test_validation_labels_every_kind_of_violation():
     assert report.violations[:3] == ("positivity: P(a=1, b=1 | x=0, y=1) >= 0",
                                      "positivity: P(a=3, b=1 | x=1, y=0) >= 0",
                                      "normalization: block (x=1, y=0) sums to 1")
-    assert "no-signaling: P(a=1 | x=0) via y=1 equals via y=0" in report.violations
+    assert "no-signaling: P(a=1 | x=0) via y=0 equals via y=1" in report.violations
     assert "no-signaling: P(b=2 | y=1) via x=0 equals via x=1" in report.violations
 
 

@@ -169,6 +169,28 @@ def test_verify_tampered_box(capsys, tmp_path):
     assert "positivity: P(a=1, b=1 | x=0, y=0) >= 0" in out
 
 
+def test_verify_prints_one_line_per_broken_nosignaling_equality(capsys, tmp_path):
+    # 1/8 moved from cell (a=2, b=2) to (a=1, b=1) of the PR box's block (0, 0)
+    # keeps it normalized and positive, but breaks both of Alice's x = 0
+    # marginal equalities and both of Bob's y = 0 ones
+    box = nonlocal_vertex(Scenario.symmetric(2), (0, 0, 0))
+    data = json.loads(box_to_json(box))
+    data["table"][0]["p"] = "5/8"  # (x=0, y=0, a=1, b=1), was 1/2
+    data["table"][3]["p"] = "3/8"  # (x=0, y=0, a=2, b=2), was 1/2
+    path = tmp_path / "signaling.json"
+    path.write_text(json.dumps(data))
+    expected = ["violated: no-signaling: P(a=1 | x=0) via y=0 equals via y=1",
+                "violated: no-signaling: P(a=2 | x=0) via y=0 equals via y=1",
+                "violated: no-signaling: P(b=1 | y=0) via x=0 equals via x=1",
+                "violated: no-signaling: P(b=2 | y=0) via x=0 equals via x=1"]
+    code, out, _ = run(capsys, "verify", str(path), "--kind", "conventional")
+    assert code == 1
+    assert out.splitlines() == ["valid: no"] + expected
+    code, out, err = run(capsys, "pn", str(path), "--kind", "conventional")
+    assert code == 1 and out == ""
+    assert err.splitlines() == expected
+
+
 def test_verify_d3_vertex_relaxed(capsys, tmp_path):
     box = nonlocal_vertex(Scenario.symmetric(3), (2, 2, 1))
     path = tmp_path / "vertex.json"

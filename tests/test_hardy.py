@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from nsbox import (
     ArgumentNotSatisfied,
     HardyArgument,
     JointBox,
+    LinearProgram,
     Relabeling,
     Scenario,
     SearchBudgetExceeded,
@@ -32,6 +34,7 @@ from nsbox import (
     best_argument_with_pn,
     best_satisfied_argument,
     build_argument,
+    build_nosignaling,
     compute_pn,
     convex_decomposition,
     deterministic_box,
@@ -52,6 +55,7 @@ from nsbox import (
     uniform_box,
 )
 from nsbox import hardy
+from nsbox.lp import _presolve
 
 F = Fraction
 
@@ -187,9 +191,33 @@ def test_relabeled_argument_has_same_optimum():
     assert max_success_ns(arg).optimum == F(1, 2)
 
 
+def with_negated_nosignaling_rows(lp: LinearProgram, scenario: Scenario) -> LinearProgram:
+    """lp with each no-signaling row followed by its negation: the layout of
+    the earlier catalog, which stated every equality in both orientations."""
+    ns_rows = {c.coeffs for c in build_nosignaling(scenario).conditions}
+    eq = []
+    for row, rhs in lp.eq_constraints:
+        eq.append((row, rhs))
+        if tuple(row) in ns_rows:
+            eq.append((tuple((j, -c) for j, c in row), -rhs))
+    return LinearProgram(lp.num_vars, lp.objective, eq, lp.ineq_constraints)
+
+
+def presolved(lp: LinearProgram):
+    return _presolve(lp.num_vars, *lp.canonical()[1:])
+
+
+def json_sha256(lp: LinearProgram) -> str:
+    text = json.dumps(lp.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 # sha256 of json.dumps(ns_program(arg).to_json_dict(), sort_keys=True) for the
-# identity argument, recorded before the rank-space template became the only
-# encoding: it fixes the objective and the row order, so Bland's pivot path
+# identity argument: it fixes the objective and the row order, and so Bland's
+# pivot path. The digests below were recorded while the no-signaling catalog
+# stated every equality twice (a row, then its negation). Today's one-row
+# program must hash to ONE_ROW_DIGEST, and with_negated_nosignaling_rows must
+# rebuild the recorded program from it, which presolves to the same program.
 GOLDEN_NS_PROGRAM = [
     ("conventional", (2, 2, 2, 2), "747a221b4d36e92031806daf45a958f87ec2ed844a0e12f61378ef81b059a7e1"),
     ("conventional", (3, 3, 3, 3), "278f896b243e699c3888defed1664adbabc9c8840bde6a75d17f082ddcde28a6"),
@@ -198,13 +226,44 @@ GOLDEN_NS_PROGRAM = [
     ("relaxed", (3, 3, 3, 3), "9ec0b241d181872bfc213de08f6f283d0484ca6d5c1bb55e287a5b180ed46be2"),
     ("relaxed", (2, 3, 4, 5), "dbd9cc8fc76d7a5f7b65b1f2b3a74f83e1c28328d60d0d07b9699c7865d8c87b"),
 ]
+ONE_ROW_DIGEST = {
+    ("conventional", (2, 2, 2, 2)): "1650282f26ff71c711592eed93fede68f873e15e3f39c9eeb459c1e642732719",
+    ("conventional", (3, 3, 3, 3)): "9f86e348c2ed3274e5ba2f80b96df128172b0eb69507fc9edb9c9ff431ee0ad3",
+    ("conventional", (2, 3, 4, 5)): "01587ecd2c437bd2fad9451778e2696e08dc8a8da3b223afe842939c616056c3",
+    ("relaxed", (2, 2, 2, 2)): "aa5e3ec9e023929be1e7eb5a30f21040014d080f88d337d809fb88690a642ff9",
+    ("relaxed", (3, 3, 3, 3)): "f5f573f36cd903765ad446b062032c722ccb7715b50b3ce052d1ecaa98ab80a1",
+    ("relaxed", (2, 3, 4, 5)): "570304b2f8b18bed665947149f6f9b86571cfd264c98192dc0d5c84e707fe277",
+}
 
 
 @pytest.mark.parametrize("kind,dims,digest", GOLDEN_NS_PROGRAM)
 def test_ns_program_is_byte_identical_to_golden(kind, dims, digest):
-    arg, _ = build_argument(kind, Scenario.from_dims(dims))
-    text = json.dumps(ns_program(arg).to_json_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    s = Scenario.from_dims(dims)
+    lp = ns_program(build_argument(kind, s)[0])
+    assert json_sha256(lp) == ONE_ROW_DIGEST[kind, dims]
+    doubled = with_negated_nosignaling_rows(lp, s)
+    assert json_sha256(doubled) == digest
+    assert presolved(doubled) == presolved(lp)
+
+
+NS_PROGRAM_DIMS = sorted({(d,) * 4 for d in range(2, 7)} | set(itertools.product((2, 3), repeat=4)))
+NS_PROGRAM_KINDS = (("conventional", F(0)), ("relaxed", F(0)), ("relaxed", F(1, 3)))
+
+
+@pytest.mark.parametrize("dims", NS_PROGRAM_DIMS, ids=lambda dims: "x".join(map(str, dims)))
+def test_ns_program_has_no_repeated_or_negated_equality_row(dims):
+    s = Scenario.from_dims(dims)
+    assert len(build_nosignaling(s).conditions) == sum(s.dims())  # one per (party, input, outcome)
+    for kind, p in NS_PROGRAM_KINDS:
+        lp = ns_program(build_argument(kind, s, p)[0])
+        keep, eq, ineq = presolved(lp)
+        # the presolve drops only the rows that forced zeros leave empty
+        live = set(keep)
+        assert len(eq) == sum(any(j in live for j, _ in pairs) for pairs, _, _ in lp.canonical()[1])
+        # and the negations it dropped from the doubled catalog change nothing
+        doubled = with_negated_nosignaling_rows(lp, s)
+        assert len(doubled.eq_constraints) == len(lp.eq_constraints) + sum(s.dims())
+        assert presolved(doubled) == (keep, eq, ineq)
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +658,40 @@ def test_integer_packing_matches_fraction_packing(pairs):
 # relabeling search: budget and agreement with the full enumeration
 
 
-def test_permutation_family_size():
+def test_permutation_family_size(monkeypatch):
     assert [permutation_family_size(n, True) for n in (2, 5, 7, 8)] == [2, 120, 5040, 40320]
     assert [permutation_family_size(n, False) for n in (2, 3, 7)] == [2, 6, 14]
     assert MAX_PERMUTATION_FAMILY == permutation_family_size(7, True)
+    for n in range(2, 13):
+        assert permutation_family_size(n, False) == len(hardy._perm_family(n, False))
+
+    def unbuildable(n):
+        raise AssertionError(f"built the family of {n} outcomes")
+
+    # the size, and so the budget check, is counted without building the family
+    monkeypatch.setattr(hardy, "_dihedral_perms", unbuildable)
+    assert permutation_family_size(10**6, False) == 2 * 10**6
+    with pytest.raises(SearchBudgetExceeded, match="5000 outcomes needs a family of 10000"):
+        hardy._check_search_budget(Scenario.from_dims([5000, 2, 2, 2]), False)
+
+
+def test_relation_search_depth_is_not_bounded_by_the_recursion_limit():
+    # a branch of the search is as deep as Bob's outcome count (120 here);
+    # one call frame per level would exceed the lowered limit
+    s = Scenario.from_dims([2, 2, 120, 2])
+    box = deterministic_box(s, (0, 0), (0, 0))
+    expected = best_argument_with_pn(box, "relaxed")
+    assert expected is not None
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        got = best_argument_with_pn(box, "relaxed")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
 
 
 def test_exhaustive_search_refuses_over_budget():
