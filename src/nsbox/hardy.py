@@ -390,16 +390,18 @@ def max_success_lhv(arg: HardyArgument) -> OptimizationReport:
 
 
 def _dihedral_perms(n: int) -> tuple[tuple[int, ...], ...]:
-    """Cyclic shifts then reversed shifts of (0..n-1), deduplicated, stable order."""
+    """Cyclic shifts then reversed shifts of (0..n-1), deduplicated, stable
+    order. Every member holds the same n outcome objects."""
+    outcomes = tuple(range(n))
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     for k in range(n):
-        p = tuple((r + k) % n for r in range(n))
+        p = tuple(outcomes[(r + k) % n] for r in range(n))
         if p not in seen:
             seen.add(p)
             out.append(p)
     for k in range(n):
-        p = tuple((k - r) % n for r in range(n))
+        p = tuple(outcomes[(k - r) % n] for r in range(n))
         if p not in seen:
             seen.add(p)
             out.append(p)
@@ -433,81 +435,151 @@ def _check_search_budget(scenario: Scenario, exhaustive: bool) -> None:
 
 @cache
 def _prefix_trie(family) -> dict:
-    """The family's members as nested {outcome: subtrie} dicts, one level per
-    rank, children in increasing outcome order; the last level maps to the
-    member's index in the family. Built once per family and shared, so it is
-    never written to after it is built."""
+    """The family's members as nested {outcome: child} dicts, one level per
+    rank, children in increasing outcome order. A child is a subtrie while
+    two or more members share its prefix, else the index of the one member
+    that has it; the search reads that member's remaining ranks from the
+    family. So the 2n shifts and reversals of n > 2 outcomes, which part
+    after rank 1, take n + 1 dicts, not one per rank of each member. Built
+    once per family and shared, so it is never written to after it is
+    built."""
     root: dict = {}
-    for index, perm in sorted(enumerate(family), key=lambda item: item[1]):
-        node = root
-        for outcome in perm[:-1]:
-            node = node.setdefault(outcome, {})
-        node[perm[-1]] = index
+    stack = [(root, 0, sorted(range(len(family)), key=family.__getitem__))]
+    while stack:
+        node, t, members = stack.pop()
+        for outcome, group in itertools.groupby(members, key=lambda i: family[i][t]):
+            group = list(group)
+            if len(group) == 1:
+                node[outcome] = group[0]
+            else:
+                node[outcome] = child = {}
+                stack.append((child, t + 1, group))
     return root
 
 
 def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> dict:
-    """{left index: ascending right indices} of the permutation pairs whose
+    """{left index: bitset of right indices} of the permutation pairs whose
     relabeled template carries at most bound on the block (no mass at all
     when bound is 0); left indices without such a pair are left out.
 
-    For each left permutation, a depth-first search assigns the right one
-    rank by rank along prefixes of the right family's members; it keeps its
-    branches on an explicit stack, since a branch is as deep as the outcome
-    count. Only the block's positive cells cost anything: cell (a, b) costs
-    at rank t when (rank of a under the left permutation, t) is a template
-    cell. A branch dies once its cost exceeds the bound, or once an outcome
-    is still unplaced after the last rank where it fits; both are tested
-    before it is pushed, so a dead branch costs no stack entry. Masses are
-    nonnegative on a valid box, so costs only grow along a branch; they are
-    scaled to exact integers over a common denominator.
+    Outcome b at right rank t costs the mass of the block's cells (a, b)
+    whose left outcome a sits at a rank the template couples to t. Per left
+    permutation, blocked[t] is the bitset of outcomes that do not fit at
+    rank t: for bound 0 the OR of the coupled outcomes' positive-cell masks,
+    else those whose cost there alone exceeds the bound (the costs, scaled to
+    ints, are kept per rank). due[t], a suffix AND, holds the outcomes that
+    fit no rank >= t. A depth-first search along the right family's prefix
+    trie, on an explicit stack since a branch is as deep as the outcome
+    count, places at each rank the one outcome that fits no later rank when
+    there is one (two such kill the branch), else any that fits, with an int
+    running total under a positive bound; a trie child that is one member
+    has its remaining ranks checked in a loop. Left permutations with equal
+    blocked (and costs) share one search.
     """
-    cells = [(a, b, q) for a, row in enumerate(box.block(*block))
-             for b, q in enumerate(row) if q > 0]
-    scale = math.lcm(bound.denominator, *(q.denominator for _a, _b, q in cells))
-    limit = bound.numerator * (scale // bound.denominator)
-    cells = [(a, b, q.numerator * (scale // q.denominator)) for a, b, q in cells]
-    n_left, n_right = len(left[0]), len(right[0])
-    right_ranks = [[] for _ in range(n_left)]
+    rows = box.block(*block)
+    n_right = len(right[0])
+    full = (1 << n_right) - 1
+    right_ranks = [[] for _ in left[0]]  # right_ranks[r]: the ranks t of template cells (r, t)
     for r, t in template:
         right_ranks[r].append(t)
+    coupled = [(r, ranks) for r, ranks in enumerate(right_ranks) if ranks]
+    bounded = bound > 0
+    if bounded:
+        scale = math.lcm(bound.denominator, *(q.denominator for row in rows for q in row))
+        limit = bound.numerator * (scale // bound.denominator)
+        weights = [[(b, q.numerator * (scale // q.denominator)) for b, q in enumerate(row) if q]
+                   for row in rows]
+    else:
+        positive = [sum(1 << b for b, q in enumerate(row) if q) for row in rows]
     trie = _prefix_trie(right)
 
-    rel: dict[int, list[int]] = {}
+    shared: dict = {}
+    rel: dict[int, int] = {}
     for ia, pa in enumerate(left):
-        rank = [0] * n_left
-        for r, a in enumerate(pa):
-            rank[a] = r
-        cost = [[0] * n_right for _ in range(n_right)]  # cost[t][b]
-        for a, b, w in cells:
-            for t in right_ranks[rank[a]]:
-                cost[t][b] += w
-        last = [-1] * n_right  # last[b]: the last rank where outcome b fits
-        for t, row in enumerate(cost):
-            for b, c in enumerate(row):
-                if c <= limit:
-                    last[b] = t
-        due = [0] * (n_right + 1)  # due[t]: bits of the outcomes fitting no rank >= t
-        for b, t in enumerate(last):
-            due[t + 1] |= 1 << b
-        if due[0]:
-            continue
-        hits: list[int] = []
-        stack = [(0, trie, 0, 0)]  # (rank, trie node, placed bits, cost)
-        while stack:
-            t, node, placed, total = stack.pop()
-            row, due_next, leaf = cost[t], due[t + 1], t + 1 == n_right
-            for b, child in node.items():
-                child_total, child_placed = total + row[b], placed | 1 << b
-                if child_total > limit or due_next & ~child_placed:
-                    continue
-                if leaf:
-                    hits.append(child)
-                else:
-                    stack.append((t + 1, child, child_placed, child_total))
+        if bounded:
+            costs = [{} for _ in range(n_right)]  # costs[t]: {outcome: its positive cost at t}
+            for r, ranks in coupled:
+                for t in ranks:
+                    cost = costs[t]
+                    for b, w in weights[pa[r]]:
+                        cost[b] = cost.get(b, 0) + w
+            blocked = [sum(1 << b for b, c in cost.items() if c > limit) for cost in costs]
+            key = tuple(tuple(sorted(cost.items())) for cost in costs)
+        else:
+            blocked = [0] * n_right
+            for r, ranks in coupled:
+                mask = positive[pa[r]]
+                if mask:
+                    for t in ranks:
+                        blocked[t] |= mask
+            key = tuple(blocked)
+        hits = shared.get(key)
+        if hits is None:
+            hits = 0
+            due = [full] * (n_right + 1)  # due[t]: the outcomes that fit no rank >= t
+            for t in range(n_right - 1, -1, -1):
+                due[t] = due[t + 1] & blocked[t]
+            stack = [] if due[0] else [(0, trie, full, 0)]  # (rank, trie node, unplaced bits, cost)
+            while stack:
+                t, node, unplaced, total = stack.pop()
+                free = unplaced & ~blocked[t]
+                need = due[t + 1] & unplaced
+                if need:  # it must go here; two such outcomes kill the branch
+                    if need & (need - 1):
+                        continue
+                    free &= need
+                while free:
+                    low = free & -free
+                    free ^= low
+                    b = low.bit_length() - 1
+                    child = node.get(b)
+                    if child is None:
+                        continue
+                    child_total = total
+                    if bounded:
+                        child_total += costs[t].get(b, 0)
+                        if child_total > limit:
+                            continue
+                    if type(child) is not int:
+                        stack.append((t + 1, child, unplaced ^ low, child_total))
+                        continue
+                    perm = right[child]
+                    for s in range(t + 1, n_right):
+                        if blocked[s] >> perm[s] & 1:
+                            break
+                        if bounded:
+                            child_total += costs[s].get(perm[s], 0)
+                            if child_total > limit:
+                                break
+                    else:
+                        hits |= 1 << child
+            shared[key] = hits
         if hits:
-            rel[ia] = sorted(hits)
+            rel[ia] = hits
     return rel
+
+
+def _spread(rel: dict, other: dict):
+    """Two maps over the right indices j of rel, a relation with bitset rows:
+    j -> the OR of other's rows, and j -> the bitset of left indices, over
+    the left indices i that pair with j in rel and with something in other.
+    Left indices with equal rows in rel are merged first, so the work
+    follows rel's distinct rows."""
+    grouped: dict[int, tuple[int, int]] = {}
+    for i, row in rel.items():
+        if i in other:
+            via, lefts = grouped.get(row, (0, 0))
+            grouped[row] = (via | other[i], lefts | 1 << i)
+    via_j: dict[int, int] = {}
+    lefts_j: dict[int, int] = {}
+    for row, (via, lefts) in grouped.items():
+        while row:
+            low = row & -row
+            row ^= low
+            j = low.bit_length() - 1
+            via_j[j] = via_j.get(j, 0) | via
+            lefts_j[j] = lefts_j.get(j, 0) | lefts
+    return via_j, lefts_j
 
 
 def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, bool],
@@ -520,13 +592,17 @@ def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool
     family larger than MAX_PERMUTATION_FAMILY.
 
     Each zero (or bounded) condition couples one Alice and one Bob
-    permutation; _relation lists the pairs that satisfy it, so the work
-    follows the satisfied pairs rather than every pair. Joining the three
-    relations maps each (a0 perm, b0 perm) that some chain reaches to a
-    deterministically chosen witness (a1 perm, b1 perm). The designated
-    block is scaled to ints once, by the lcm of its denominators, so a
-    chain's mass is an int sum over its success template cells, and only
-    the kept chains build their cells and mass.
+    permutation, and _relation gives the pairs that satisfy it as bitset
+    rows. A fourth _relation call gives the (a0, b0) pairs whose success
+    cells carry no mass, so a chain has positive mass exactly when its
+    (a0, b0) pair is missing from it. The join is set operations on rows:
+    a (a0, b0) pair is reached when some a1 permutation pairs with b0 in the
+    (a1, b0) relation and with some b1 in the (a1, b1) relation that a0 also
+    pairs with in the (a0, b1) relation. Pairs are visited in ascending
+    order; the first one reached is kept even at zero mass, later ones only
+    at positive mass. A kept pair's witness is its smallest b1 index, then
+    its smallest a1 index for that b1. Only kept chains build their cells
+    and mass.
     """
     _check_search_budget(box.scenario, exhaustive)
     ax, by, counts = _roles(box.scenario, swaps)
@@ -536,34 +612,44 @@ def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool
     rel = {(i, j): _relation(box, (ax[i], by[j]), cells, fam_a[i], fam_b[j], p if k == 2 else _ZERO)
            for k, ((i, j), cells) in enumerate(conditions)}
     r_a1b0, r_a1b1, r_a0b1 = rel[(1, 0)], rel[(1, 1)], rel[(0, 1)]
+    massless = _relation(box, (ax[0], by[0]), t_success, fam_a[0], fam_b[0], _ZERO)
 
-    b1_to_a0: dict[int, list[int]] = {}
-    for ia0 in sorted(r_a0b1):
-        for ib1 in r_a0b1[ia0]:
-            b1_to_a0.setdefault(ib1, []).append(ia0)
-
-    pair_witness: dict[tuple[int, int], int] = {}
-    for ia1 in sorted(set(r_a1b0) & set(r_a1b1)):
-        for ib0 in r_a1b0[ia1]:
-            for ib1 in r_a1b1[ia1]:
-                pair_witness.setdefault((ib0, ib1), ia1)
-
-    achievable: dict[tuple[int, int], tuple[int, int]] = {}
-    for (ib0, ib1), ia1 in sorted(pair_witness.items()):
-        for ia0 in b1_to_a0.get(ib1, ()):
-            achievable.setdefault((ia0, ib0), (ia1, ib1))
+    b0_via_b1, a1_via_b1 = _spread(r_a1b1, r_a1b0)
+    b1_via_b0, a1_via_b0 = _spread(r_a1b0, r_a1b1)
+    reached: dict[int, int] = {}  # (a0, b1) row -> the b0 indices it reaches
 
     block = box.block(ax[0], by[0])
     scale = math.lcm(*(q.denominator for row in block for q in row))
     block = [[q.numerator * (scale // q.denominator) for q in row] for row in block]
+    masses: dict[int, Fraction] = {}  # int total -> its Fraction, built once
     out = []
-    for (ia0, ib0) in sorted(achievable):
-        pa0, pb0 = fam_a[0][ia0], fam_b[0][ib0]
-        total = sum(block[pa0[r]][pb0[t]] for r, t in t_success)
-        if not total and out:
-            continue
-        cells = frozenset((pa0[r], pb0[t]) for r, t in t_success)
-        out.append((cells, Fraction(total, scale), (ia0, ib0) + achievable[(ia0, ib0)]))
+    for ia0, row in sorted(r_a0b1.items()):
+        b0s = reached.get(row)
+        if b0s is None:
+            b0s, b1s = 0, row
+            while b1s:
+                low = b1s & -b1s
+                b1s ^= low
+                b0s |= b0_via_b1.get(low.bit_length() - 1, 0)
+            reached[row] = b0s
+        keep = b0s & ~massless.get(ia0, 0)
+        if b0s and not out:
+            keep |= b0s & -b0s  # the first reached pair, kept at any mass
+        while keep:
+            low = keep & -keep
+            keep ^= low
+            ib0 = low.bit_length() - 1
+            b1s = b1_via_b0[ib0] & row  # the witness: the smallest b1, then its smallest a1
+            ib1 = (b1s & -b1s).bit_length() - 1
+            a1s = a1_via_b0[ib0] & a1_via_b1[ib1]
+            ia1 = (a1s & -a1s).bit_length() - 1
+            pa0, pb0 = fam_a[0][ia0], fam_b[0][ib0]
+            cells = frozenset((pa0[r], pb0[t]) for r, t in t_success)
+            total = sum(block[a][b] for a, b in cells)
+            mass = masses.get(total)
+            if mass is None:
+                mass = masses[total] = Fraction(total, scale)
+            out.append((cells, mass, (ia0, ib0, ia1, ib1)))
     return out
 
 
@@ -686,7 +772,10 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     raises SearchBudgetExceeded before searching when some outcome count has
     more than MAX_PERMUTATION_FAMILY permutations (more than 7 outcomes).
     The search prunes on the box's positive cells, so its cost follows the
-    satisfied relabelings, not the (n!)^2 permutation pairs.
+    satisfied relabelings, not the (n!)^2 permutation pairs; its relations
+    are bitsets and its join takes only the chains with positive success
+    mass (and the first satisfied one), so a box whose satisfied chains all
+    have zero mass costs no more than its relations.
     """
     base_pp = evaluate_pp(box, base)
     swaps = (base.relabeling.alice_input_swap, base.relabeling.bob_input_swap)

@@ -14,6 +14,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -694,6 +695,32 @@ def test_relation_search_depth_is_not_bounded_by_the_recursion_limit():
     assert got == expected
 
 
+def trie_dicts(node):
+    return 1 + sum(trie_dicts(child) for child in node.values() if isinstance(child, dict))
+
+
+def test_shift_and_reversal_search_memory_is_linear_in_family_times_n():
+    # the 2n shifts and reversals of n outcomes part after rank 1, so a trie
+    # with one dict per rank of each member held about 2n^2 dicts (154 MB at
+    # n = 600); the trie stops where a prefix has one member
+    n = 600
+    box = deterministic_box(Scenario.from_dims([2, 2, n, 2]), (0, 0), (0, 0))
+    hardy._perm_family.cache_clear()
+    hardy._prefix_trie.cache_clear()
+    tracemalloc.start()
+    try:
+        found = best_argument_with_pn(box, "relaxed")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None and found[2].pn == 0
+    assert peak < 16 * 2**20, peak  # the family itself is 2n tuples of n outcomes
+    assert trie_dicts(hardy._prefix_trie(hardy._perm_family(n, False))) == n + 1
+    assert trie_dicts(hardy._prefix_trie(hardy._perm_family(5, True))) == 1 + 5 + 20 + 60
+    hardy._perm_family.cache_clear()
+    hardy._prefix_trie.cache_clear()
+
+
 def test_exhaustive_search_refuses_over_budget():
     hardy._check_search_budget(Scenario.symmetric(7), True)
     hardy._check_search_budget(Scenario.symmetric(8), False)
@@ -716,7 +743,7 @@ def full_enumeration_relation(box, block, template, left, right, bound):
     x, y = block
     rel = {}
     for ia, pa in enumerate(left):
-        hits = []
+        hits = 0
         for ib, pb in enumerate(right):
             if bound > 0:
                 total = sum((box.prob(x, y, pa[r], pb[t]) for r, t in template), F(0))
@@ -724,7 +751,7 @@ def full_enumeration_relation(box, block, template, left, right, bound):
             else:
                 ok = all(box.prob(x, y, pa[r], pb[t]) == 0 for r, t in template)
             if ok:
-                hits.append(ib)
+                hits |= 1 << ib
         if hits:
             rel[ia] = hits
     return rel
@@ -745,11 +772,25 @@ def mixture(s):
                              for i in range(s.num_coords)))
 
 
+def deterministic_mixture(s):
+    """Two deterministic boxes, weights 1/3 and 2/3: few positive cells, so
+    many left permutations block the same outcomes and share a search."""
+    parts = ((F(1, 3), deterministic_box(s, (0, 0), (0, 0))),
+             (F(2, 3), deterministic_box(s, (1, s.alice[1] - 1), (s.bob[0] - 1, 1))))
+    return JointBox(s, tuple(sum((w * box.table[i] for w, box in parts), F(0))
+                             for i in range(s.num_coords)))
+
+
+def sparse_boxes(s):
+    """The all-zero deterministic box and a two-term deterministic mixture."""
+    return [deterministic_box(s, (0, 0), (0, 0)), deterministic_mixture(s)]
+
+
 def differential_boxes(dims):
     s = Scenario.from_dims(dims)
     d = s.min_outputs
     return [nonlocal_vertex(s, (d - 1, d - 1, 1)), nonlocal_vertex(s, (0, 1, d - 1)),
-            mixture(s), uniform_box(s)]
+            mixture(s), uniform_box(s)] + sparse_boxes(s)
 
 
 def assert_search_matches_full_enumeration(monkeypatch, box, kind, p, swaps, exhaustive):
@@ -790,11 +831,87 @@ def test_search_matches_full_enumeration_d5(monkeypatch):
     s = Scenario.symmetric(5)
     perms = ((1, 0, 2, 3, 4), (2, 4, 1, 0, 3))
     vertex = relabeled(nonlocal_vertex(s, (4, 4, 1)), perms, perms[::-1])
+    zero, two_term = sparse_boxes(s)
     for box, kind, p, swaps in ((vertex, "relaxed", F(0), (False, False)),
                                 (vertex, "conventional", F(0), (True, False)),
                                 (mixture(s), "relaxed", F(1, 3), (False, True)),
-                                (mixture(s), "conventional", F(0), (True, True))):
+                                (mixture(s), "conventional", F(0), (True, True)),
+                                (zero, "relaxed", F(0), (False, False)),
+                                (two_term, "conventional", F(0), (False, True))):
         assert_search_matches_full_enumeration(monkeypatch, box, kind, p, swaps, True)
+
+
+def reference_candidates(box, kind, p, swaps, exhaustive):
+    """Reference for _success_candidates: the chains (ia0, ib0, ia1, ib1)
+    over the full-enumeration relations, each (ia0, ib0) pair in ascending
+    order with its smallest ib1 and then its smallest ia1; the first pair is
+    kept at any success mass, later ones only at positive mass."""
+    ax, by, counts = hardy._roles(box.scenario, swaps)
+    t_success, conditions = hardy._template(kind, *counts)
+    fa0, fa1, fb0, fb1 = (hardy._perm_family(n, exhaustive) for n in counts)
+    fam_a, fam_b = (fa0, fa1), (fb0, fb1)
+
+    pairs = {}
+    for k, ((i, j), cells) in enumerate(conditions):
+        rel = full_enumeration_relation(box, (ax[i], by[j]), cells, fam_a[i], fam_b[j],
+                                        p if k == 2 else F(0))
+        pairs[(i, j)] = {(l, r) for l, row in rel.items()
+                         for r in range(row.bit_length()) if row >> r & 1}
+    a1b0, a1b1, a0b1 = pairs[(1, 0)], pairs[(1, 1)], pairs[(0, 1)]
+    smallest_a1 = {}
+    for ia1 in range(len(fa1)):
+        for ib0 in range(len(fb0)):
+            for ib1 in range(len(fb1)):
+                if (ia1, ib0) in a1b0 and (ia1, ib1) in a1b1:
+                    smallest_a1.setdefault((ib0, ib1), ia1)
+    out = []
+    for ia0, ib0 in itertools.product(range(len(fa0)), range(len(fb0))):
+        b1s = [ib1 for ib1 in range(len(fb1)) if (ia0, ib1) in a0b1 and (ib0, ib1) in smallest_a1]
+        if not b1s:
+            continue
+        cells = frozenset((fa0[ia0][r], fb0[ib0][t]) for r, t in t_success)
+        mass = sum((box.prob(ax[0], by[0], a, b) for a, b in cells), F(0))
+        if mass > 0 or not out:
+            out.append((cells, mass, (ia0, ib0, smallest_a1[(ib0, b1s[0])], b1s[0])))
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 4, 3), (3, 2, 2, 4),
+                                  (4, 4, 4, 4)])
+def test_chain_join_matches_reference_join(dims):
+    # pins the witness each kept chain carries, which names the relabelings
+    # that pn prints
+    for box in differential_boxes(dims):
+        for kind, p in ARGUMENT_CASES:
+            for swaps in SWAPS:
+                for exhaustive in (False, True):
+                    assert (hardy._success_candidates(box, kind, p, swaps, exhaustive)
+                            == reference_candidates(box, kind, p, swaps, exhaustive)), (
+                        dims, kind, p, swaps, exhaustive)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_outcome_relabeling_keeps_exhaustive_pp_and_pn(data):
+    d = data.draw(st.integers(2, 4), label="d")
+    s = Scenario.symmetric(d)
+    if data.draw(st.booleans(), label="vertex"):
+        label = data.draw(st.tuples(*[st.integers(0, d - 1)] * 3), label="label")
+        box = nonlocal_vertex(s, label)
+    else:
+        box = mixture(s)
+    perm = st.permutations(range(d)).map(tuple)
+    alice = data.draw(st.tuples(perm, perm), label="alice")
+    bob = data.draw(st.tuples(perm, perm), label="bob")
+    moved = relabeled(box, alice, bob)
+    for kind in ("conventional", "relaxed"):
+        before = best_argument_with_pn(box, kind, exhaustive_perms=True)
+        after = best_argument_with_pn(moved, kind, exhaustive_perms=True)
+        assert (before is None) == (after is None)
+        if after is None:
+            continue
+        assert before[1] == after[1] and before[2].pn == after[2].pn
+        assert sum(evaluate_pp(moved, member) for member in after[2].family) == after[2].pn
 
 
 def assert_shared_search_matches_public_functions(box, kind, p, exhaustive):
@@ -813,8 +930,7 @@ def assert_shared_search_matches_public_functions(box, kind, p, exhaustive):
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 4, 3), (4, 4, 4, 4)])
 def test_shared_search_matches_best_argument_then_pn(dims):
     s = Scenario.from_dims(dims)
-    zero = deterministic_box(s, (0, 0), (0, 0))
-    for box in differential_boxes(dims) + [zero]:
+    for box in differential_boxes(dims):  # the zero box among them
         for kind, p in ARGUMENT_CASES:
             for exhaustive in (False, True):
                 assert_shared_search_matches_public_functions(box, kind, p, exhaustive)
