@@ -45,6 +45,9 @@ from .vertices import enumerate_vertices
 
 __all__ = ["main"]
 
+# Largest outcome count sweep accepts: the LPs grow quickly with d.
+_SWEEP_CAP = 16
+
 
 def _dims_flag(text: str) -> Scenario:
     parts = text.split(",")
@@ -185,9 +188,9 @@ def render_sweep_csv(rows: list[dict]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if not 2 <= args.d_min <= args.d_max <= args.cap:
+    if not 2 <= args.d_min <= args.d_max <= _SWEEP_CAP:
         print(
-            f"error: need 2 <= d-min <= d-max <= cap ({args.cap}), "
+            f"error: need 2 <= d-min <= d-max <= cap ({_SWEEP_CAP}), "
             f"got d-min={args.d_min}, d-max={args.d_max}",
             file=sys.stderr)
         return 2
@@ -302,8 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="CSV across symmetric outcome counts")
     p_sweep.add_argument("--d-min", type=int, default=2)
     p_sweep.add_argument("--d-max", type=int, default=6)
-    p_sweep.add_argument("--cap", type=int, default=16,
-                         help="upper guard for d-max (LPs grow quickly)")
     p_sweep.add_argument("--out", default="-", help="output path, or - for stdout")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -12,11 +12,13 @@ three zero conditions on the four input pairs:
   may be relaxed from "= 0" to "<= p".
 
 Each kind is encoded once, as a rank-space template (_template): the success
-cells and three conditions, each a logical input pair with its cells in
-(Alice rank, Bob rank) space. Everything else derives from it: the concrete
-event sets (the template placed on physical inputs and relabeled), the LP
-rows, the relabeling search, and the one check of an argument's conditions
-against a box (_violation).
+cells and three conditions, each a logical input pair, its cells in (Alice
+rank, Bob rank) space, and its bound, the most mass a box may put on them
+(p on the relaxed kind's third condition, else 0). Everything else derives
+from it and reads each condition's own bound: the concrete event sets (the
+template placed on physical inputs and relabeled), the LP rows, the
+relabeling search, the congruence scan, and the one check of an argument's
+conditions against a box (_violation).
 
 The module optimizes success exactly over the no-signaling polytope (LP) or
 over local deterministic models (exhaustive enumeration, deliberately
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -143,8 +145,9 @@ class Relabeling:
 
 @dataclass(frozen=True)
 class HardyArgument:
-    """A paradox argument: kind, scenario, relabeling, and the bound p on the
-    last condition (always 0 for the conventional kind)."""
+    """A paradox argument: kind, scenario, relabeling, and the bound p that
+    _template gives the relaxed kind's third condition (always 0 for the
+    conventional kind)."""
 
     kind: str
     scenario: Scenario
@@ -154,12 +157,14 @@ class HardyArgument:
 
 @dataclass(frozen=True)
 class ArgumentEvents:
-    """Concrete event sets of an argument: one success set and three zero
-    sets, each a frozenset of (x, y, a, b) coordinates (0-based outcomes).
-    When the argument carries a bound p > 0, zeros[2] is the bounded set."""
+    """Concrete event sets of an argument: one success set and three
+    condition sets, each a frozenset of (x, y, a, b) coordinates (0-based
+    outcomes), and bounds[k], the most mass zeros[k] may carry (the
+    template's bounds: 0 for a zero condition)."""
 
     success: frozenset
     zeros: tuple[frozenset, frozenset, frozenset]
+    bounds: tuple[Fraction, Fraction, Fraction]
 
 
 class ArgumentNotSatisfied(Exception):
@@ -215,14 +220,14 @@ def build_argument(kind: str, scenario: Scenario, p=_ZERO,
     return arg, argument_events(arg)
 
 
-def _template(kind: str, na0: int, na1: int, nb0: int, nb1: int):
-    """The argument in rank space, given the outcome counts of Alice's and
-    Bob's first and second logical inputs.
+def _template(kind: str, p: Fraction, na0: int, na1: int, nb0: int, nb1: int):
+    """The argument of bound p in rank space, given the outcome counts of
+    Alice's and Bob's first and second logical inputs.
 
     Returns (success cells, conditions). The success cells live on logical
-    pair (0, 0); each condition is ((i, j), cells) for logical pair (i, j),
-    cells being (Alice rank, Bob rank) pairs. The order is fixed per kind,
-    and the bound p, when positive, applies to the third condition.
+    pair (0, 0); each condition is ((i, j), cells, bound) for logical pair
+    (i, j), cells being (Alice rank, Bob rank) pairs, and bound the most mass
+    they may carry: p for the relaxed kind's third condition, else 0.
     """
     if kind == KIND_RELAXED:
         na, nb = (na0, na1), (nb0, nb1)
@@ -231,19 +236,22 @@ def _template(kind: str, na0: int, na1: int, nb0: int, nb1: int):
             return tuple((r, t) for r in range(na[i]) for t in range(nb[j])
                          if (t < r if flip else r < t))
 
-        return ordering(0, 0), (((1, 0), ordering(1, 0)), ((1, 1), ordering(1, 1, True)),
-                                ((0, 1), ordering(0, 1)))
-    return ((0, nb0 - 1),), (((1, 0), tuple((r, nb0 - 1) for r in range(1, na1))),
-                             ((0, 1), tuple((0, t) for t in range(nb1 - 1))),
-                             ((1, 1), ((0, nb1 - 1),)))
+        return ordering(0, 0), (((1, 0), ordering(1, 0), _ZERO),
+                                ((1, 1), ordering(1, 1, True), _ZERO),
+                                ((0, 1), ordering(0, 1), p))
+    return ((0, nb0 - 1),), (((1, 0), tuple((r, nb0 - 1) for r in range(1, na1)), _ZERO),
+                             ((0, 1), tuple((0, t) for t in range(nb1 - 1)), _ZERO),
+                             ((1, 1), ((0, nb1 - 1),), _ZERO))
 
 
-def _roles(scenario: Scenario, swaps: tuple[bool, bool]):
-    """The physical inputs that play Alice's and Bob's logical inputs 0 and 1,
-    and the outcome counts (a0, a1, b0, b1) of those logical inputs."""
-    ax = (1, 0) if swaps[0] else (0, 1)
-    by = (1, 0) if swaps[1] else (0, 1)
-    return ax, by, tuple(scenario.alice[x] for x in ax) + tuple(scenario.bob[y] for y in by)
+def _roles(arg: HardyArgument):
+    """The physical inputs that play Alice's and Bob's logical inputs 0 and 1
+    under arg's input swaps, and the outcome counts (a0, a1, b0, b1) of those
+    logical inputs."""
+    s, rel = arg.scenario, arg.relabeling
+    ax = (1, 0) if rel.alice_input_swap else (0, 1)
+    by = (1, 0) if rel.bob_input_swap else (0, 1)
+    return ax, by, tuple(s.alice[x] for x in ax) + tuple(s.bob[y] for y in by)
 
 
 def argument_events(arg: HardyArgument) -> ArgumentEvents:
@@ -253,17 +261,17 @@ def argument_events(arg: HardyArgument) -> ArgumentEvents:
     the relabeling says so); ranks r, t are turned into concrete outcomes by
     that physical input's permutation.
     """
-    rel = arg.relabeling
-    aperms, bperms = rel.resolved(arg.scenario)
-    ax, by, counts = _roles(arg.scenario, (rel.alice_input_swap, rel.bob_input_swap))
-    success, conditions = _template(arg.kind, *counts)
+    aperms, bperms = arg.relabeling.resolved(arg.scenario)
+    ax, by, counts = _roles(arg)
+    success, conditions = _template(arg.kind, arg.last_condition_bound, *counts)
 
     def place(i, j, cells):
         x, y = ax[i], by[j]
         return frozenset((x, y, aperms[x][r], bperms[y][t]) for r, t in cells)
 
     return ArgumentEvents(place(0, 0, success),
-                          tuple(place(i, j, cells) for (i, j), cells in conditions))
+                          tuple(place(i, j, cells) for (i, j), cells, _bound in conditions),
+                          tuple(bound for _pair, _cells, bound in conditions))
 
 
 def _check_box_for(box: JointBox, arg: HardyArgument) -> None:
@@ -280,20 +288,20 @@ def _mass(entry, cells) -> Fraction:
     return sum((entry(*e) for e in cells), _ZERO)
 
 
-def _violation(entry, events: ArgumentEvents, p: Fraction) -> Optional[ArgumentNotSatisfied]:
+def _violation(entry, events: ArgumentEvents) -> Optional[ArgumentNotSatisfied]:
     """The first of the argument's conditions that entry (a function
     (x, y, a, b) -> probability) breaks, as an ArgumentNotSatisfied to raise,
     or None when all hold. The one check of conditions against a box or a
-    congruence vertex. A broken zero condition is reported at its first
-    nonzero event in coordinate order; with p > 0 the third condition is a
-    bounded sum."""
-    for k, zset in enumerate(events.zeros):
-        if p > 0 and k == 2:
+    congruence vertex. A broken zero condition (bound 0) is reported at its
+    first nonzero event in coordinate order; a condition with a positive
+    bound is a bounded sum."""
+    for k, (zset, bound) in enumerate(zip(events.zeros, events.bounds)):
+        if bound:
             total = _mass(entry, zset)
-            if total > p:
+            if total > bound:
                 return ArgumentNotSatisfied(
                     f"bounded condition exceeds its bound: mass {format_rational(total)}"
-                    f" > {format_rational(p)}",
+                    f" > {format_rational(bound)}",
                     condition=k, amount=total)
         elif any(entry(*e) for e in zset):
             e = min(e for e in zset if entry(*e))
@@ -310,7 +318,7 @@ def evaluate_pp(box: JointBox, arg: HardyArgument) -> Fraction:
     ArgumentNotSatisfied naming the first violation."""
     _check_box_for(box, arg)
     events = argument_events(arg)
-    violation = _violation(box.prob, events, arg.last_condition_bound)
+    violation = _violation(box.prob, events)
     if violation is not None:
         raise violation
     return _mass(box.prob, events.success)
@@ -318,8 +326,9 @@ def evaluate_pp(box: JointBox, arg: HardyArgument) -> Fraction:
 
 def ns_program(arg: HardyArgument) -> LinearProgram:
     """The exact LP: maximize the argument's success mass over the
-    no-signaling polytope intersected with its zero/bounded conditions.
-    Positivity enters through the kernel's x >= 0 ground rule."""
+    no-signaling polytope intersected with its conditions, each an equality
+    row at bound 0 and an inequality row at a positive bound. Positivity
+    enters through the kernel's x >= 0 ground rule."""
     s = arg.scenario
     events = argument_events(arg)
     n = s.num_coords
@@ -328,13 +337,9 @@ def ns_program(arg: HardyArgument) -> LinearProgram:
         objective[s.coord_index(*e)] = _ONE
     eq = polytope_system(s).eq_rows()
     ineq = []
-    p = arg.last_condition_bound
-    for k, zset in enumerate(events.zeros):
+    for zset, bound in zip(events.zeros, events.bounds):
         row = [(i, 1) for i in sorted(s.coord_index(*e) for e in zset)]
-        if p > 0 and k == 2:
-            ineq.append((row, p))
-        else:
-            eq.append((row, 0))
+        (ineq if bound else eq).append((row, bound))
     return LinearProgram(n, objective, eq, ineq)
 
 
@@ -390,22 +395,14 @@ def max_success_lhv(arg: HardyArgument) -> OptimizationReport:
 
 
 def _dihedral_perms(n: int) -> tuple[tuple[int, ...], ...]:
-    """Cyclic shifts then reversed shifts of (0..n-1), deduplicated, stable
-    order. Every member holds the same n outcome objects."""
+    """The cyclic shifts of (0..n-1), then its reversed shifts when n > 2
+    (for n <= 2 they are the shifts again). Every member holds the same n
+    outcome objects."""
     outcomes = tuple(range(n))
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for k in range(n):
-        p = tuple(outcomes[(r + k) % n] for r in range(n))
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    for k in range(n):
-        p = tuple(outcomes[(k - r) % n] for r in range(n))
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return tuple(out)
+    perms = [tuple(outcomes[(r + k) % n] for r in range(n)) for k in range(n)]
+    if n > 2:
+        perms += [tuple(outcomes[(k - r) % n] for r in range(n)) for k in range(n)]
+    return tuple(perms)
 
 
 @cache
@@ -582,35 +579,34 @@ def _spread(rel: dict, other: dict):
     return via_j, lefts_j
 
 
-def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool, bool],
-                        exhaustive: bool):
+def _success_candidates(box: JointBox, arg: HardyArgument, exhaustive: bool):
     """Deterministic list of (success cells, mass, chain) for the first
     satisfied permutation chain and every later one with positive success
-    mass; cells live on the designated block, and a chain is the family
-    indices (ia0, ib0, ia1, ib1) of the logical inputs' permutations, which
-    _chain_relabeling turns into a Relabeling. Refuses, before any search, a
-    family larger than MAX_PERMUTATION_FAMILY.
+    mass, over the outcome relabelings of arg on its input swaps; cells live
+    on the designated block, and a chain is the family indices (ia0, ib0,
+    ia1, ib1) of the logical inputs' permutations, which _chain_argument
+    turns into an argument. Refuses, before any search, a family larger than
+    MAX_PERMUTATION_FAMILY.
 
-    Each zero (or bounded) condition couples one Alice and one Bob
-    permutation, and _relation gives the pairs that satisfy it as bitset
-    rows. A fourth _relation call gives the (a0, b0) pairs whose success
-    cells carry no mass, so a chain has positive mass exactly when its
-    (a0, b0) pair is missing from it. The join is set operations on rows:
-    a (a0, b0) pair is reached when some a1 permutation pairs with b0 in the
-    (a1, b0) relation and with some b1 in the (a1, b1) relation that a0 also
-    pairs with in the (a0, b1) relation. Pairs are visited in ascending
-    order; the first one reached is kept even at zero mass, later ones only
-    at positive mass. A kept pair's witness is its smallest b1 index, then
-    its smallest a1 index for that b1. Only kept chains build their cells
-    and mass.
+    Each condition couples one Alice and one Bob permutation, and _relation
+    gives the pairs that keep it within its bound as bitset rows. A fourth
+    _relation call gives the (a0, b0) pairs whose success cells carry no
+    mass, so a chain has positive mass exactly when its (a0, b0) pair is
+    missing from it. The join is set operations on rows: a (a0, b0) pair is
+    reached when some a1 permutation pairs with b0 in the (a1, b0) relation
+    and with some b1 in the (a1, b1) relation that a0 also pairs with in the
+    (a0, b1) relation. Pairs are visited in ascending order; the first one
+    reached is kept even at zero mass, later ones only at positive mass. A
+    kept pair's witness is its smallest b1 index, then its smallest a1 index
+    for that b1. Only kept chains build their cells and mass.
     """
     _check_search_budget(box.scenario, exhaustive)
-    ax, by, counts = _roles(box.scenario, swaps)
-    t_success, conditions = _template(kind, *counts)
+    ax, by, counts = _roles(arg)
+    t_success, conditions = _template(arg.kind, arg.last_condition_bound, *counts)
     fam_a = tuple(_perm_family(n, exhaustive) for n in counts[:2])
     fam_b = tuple(_perm_family(n, exhaustive) for n in counts[2:])
-    rel = {(i, j): _relation(box, (ax[i], by[j]), cells, fam_a[i], fam_b[j], p if k == 2 else _ZERO)
-           for k, ((i, j), cells) in enumerate(conditions)}
+    rel = {(i, j): _relation(box, (ax[i], by[j]), cells, fam_a[i], fam_b[j], bound)
+           for (i, j), cells, bound in conditions}
     r_a1b0, r_a1b1, r_a0b1 = rel[(1, 0)], rel[(1, 1)], rel[(0, 1)]
     massless = _relation(box, (ax[0], by[0]), t_success, fam_a[0], fam_b[0], _ZERO)
 
@@ -653,16 +649,19 @@ def _success_candidates(box: JointBox, kind: str, p: Fraction, swaps: tuple[bool
     return out
 
 
-def _chain_relabeling(scenario: Scenario, swaps: tuple[bool, bool], exhaustive: bool,
-                      chain: tuple[int, int, int, int]) -> Relabeling:
-    """The relabeling of a chain (ia0, ib0, ia1, ib1) that _success_candidates
-    found with the same swaps and family kind."""
-    ax, by, counts = _roles(scenario, swaps)
+def _chain_argument(arg: HardyArgument, exhaustive: bool,
+                    chain: tuple[int, int, int, int]) -> HardyArgument:
+    """arg relabeled by a chain (ia0, ib0, ia1, ib1) that _success_candidates
+    found for arg with the same family kind: arg's input swaps, the chain's
+    outcome permutations."""
+    ax, by, counts = _roles(arg)
     fa0, fa1, fb0, fb1 = (_perm_family(n, exhaustive) for n in counts)
     ia0, ib0, ia1, ib1 = chain
     pa, pb = (fa0[ia0], fa1[ia1]), (fb0[ib0], fb1[ib1])
     # a swap is its own inverse: physical input x plays logical input ax[x]
-    return Relabeling(swaps[0], swaps[1], (pa[ax[0]], pa[ax[1]]), (pb[by[0]], pb[by[1]]))
+    rel = replace(arg.relabeling, alice_perms=(pa[ax[0]], pa[ax[1]]),
+                  bob_perms=(pb[by[0]], pb[by[1]]))
+    return replace(arg, relabeling=rel)
 
 
 def _max_disjoint_mass(entries):
@@ -712,14 +711,12 @@ def _best_of(box: JointBox, kind: str, p, exhaustive_perms: bool):
     first."""
     arg, _ = build_argument(kind, box.scenario, p)
     _check_box_for(box, arg)
-    candidates = _success_candidates(
-        box, kind, arg.last_condition_bound, (False, False), exhaustive_perms)
+    candidates = _success_candidates(box, arg, exhaustive_perms)
     best = max(candidates, key=lambda candidate: candidate[1], default=None)
     if best is None:
         return None
     _cells, mass, chain = best
-    rel = _chain_relabeling(box.scenario, (False, False), exhaustive_perms, chain)
-    return HardyArgument(kind, box.scenario, rel, arg.last_condition_bound), mass, candidates
+    return _chain_argument(arg, exhaustive_perms, chain), mass, candidates
 
 
 def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates,
@@ -741,7 +738,6 @@ def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates,
         return PnResult(_ZERO, (base,))
     total, picked = _max_disjoint_mass(positive)
 
-    swaps = (base.relabeling.alice_input_swap, base.relabeling.bob_input_swap)
     blocks = {(x, y): box.block(x, y) for x, y in INPUT_PAIRS}
 
     def entry(x, y, a, b):
@@ -750,11 +746,9 @@ def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates,
     family = []
     claimed: set = set()
     for cells, mass, chain in picked:
-        arg = base if chain is None else HardyArgument(
-            base.kind, box.scenario, _chain_relabeling(box.scenario, swaps, exhaustive, chain),
-            base.last_condition_bound)
+        arg = base if chain is None else _chain_argument(base, exhaustive, chain)
         events = argument_events(arg)
-        if (_violation(entry, events, arg.last_condition_bound) is not None
+        if (_violation(entry, events) is not None
                 or _mass(entry, events.success) != mass or not claimed.isdisjoint(cells)):
             raise RuntimeError("internal error: inconsistent packing member")
         claimed.update(cells)
@@ -778,9 +772,7 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     have zero mass costs no more than its relations.
     """
     base_pp = evaluate_pp(box, base)
-    swaps = (base.relabeling.alice_input_swap, base.relabeling.bob_input_swap)
-    candidates = _success_candidates(
-        box, base.kind, base.last_condition_bound, swaps, exhaustive_perms)
+    candidates = _success_candidates(box, base, exhaustive_perms)
     return _pn_of(box, base, base_pp, candidates, exhaustive_perms)
 
 
@@ -812,12 +804,14 @@ def best_argument_with_pn(box: JointBox, kind: str, p=_ZERO, exhaustive_perms: b
 
 def _congruence_masses(arg: HardyArgument):
     """(label, success mass) of every congruence label, in lexicographic
-    order, whose vertex satisfies arg's zero (and bounded) conditions.
+    order, whose vertex satisfies arg's conditions.
 
     Label (xc, yc, shift) puts 1/d on the cells a, b < d of block (x, y) in
     difference class (b - a) mod d = (x*y + xc*x + yc*y + shift) mod d. Each
     event set's cells are counted once per block, in a list indexed by
-    difference class, so a label costs four list lookups per set."""
+    difference class, so a label costs four list lookups per set. Each cell
+    weighs 1/d, so a condition's mass is within its bound iff it hits at most
+    floor(bound * d) cells."""
     d = arg.scenario.min_outputs
     events = argument_events(arg)
 
@@ -830,17 +824,16 @@ def _congruence_masses(arg: HardyArgument):
 
     (z00, z01, z10, z11), (u00, u01, u10, u11), (v00, v01, v10, v11) = (
         counts(zset) for zset in events.zeros)
+    lz, lu, lv = (math.floor(bound * d) for bound in events.bounds)
     s00, s01, s10, s11 = counts(events.success)
-    # each cell weighs 1/d: the third set's mass is within p iff it hits <= floor(p * d)
-    limit = math.floor(arg.last_condition_bound * d)
     for xc in range(d):
         for yc in range(d):
             for shift in range(d):
                 k00, k01 = shift, (yc + shift) % d
                 k10, k11 = (xc + shift) % d, (1 + xc + yc + shift) % d
-                if (z00[k00] or z01[k01] or z10[k10] or z11[k11]
-                        or u00[k00] or u01[k01] or u10[k10] or u11[k11]
-                        or v00[k00] + v01[k01] + v10[k10] + v11[k11] > limit):
+                if (z00[k00] + z01[k01] + z10[k10] + z11[k11] > lz
+                        or u00[k00] + u01[k01] + u10[k10] + u11[k11] > lu
+                        or v00[k00] + v01[k01] + v10[k10] + v11[k11] > lv):
                     continue
                 yield (xc, yc, shift), Fraction(s00[k00] + s01[k01] + s10[k10] + s11[k11], d)
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests (in-process, via main's argv parameter)."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -334,6 +335,71 @@ def test_verify_exhaustive_on_the_zero_box_is_golden(capsys, tmp_path, kind):
     assert out == GOLDEN_VERIFY_ZERO_BOX_D6[kind]
 
 
+# stdout sha256 of `nsbox optimize --kind relaxed --dims d,d,d,d --p 1/10`,
+# recorded while the bound was still a special case of the third condition
+GOLDEN_OPTIMIZE_BOUNDED = [
+    (2, "8694ed9e786d08b0d734824201c69a1c7aa3b9376815c4e0f5f244dcf334c039"),
+    (3, "84f1c85cd40e4663bd89c1dbfb7262f3e4ce7c865086274f1552d63d0032d22b"),
+    (4, "5c9f9a99d572e1777957e0ebead995a6a9f3998a880f2068f0c714e9a32bbdeb"),
+    (5, "8a7135e2dbcb78b1cce95a0e46470d6a8ba5af576d25d0f0d44809534560ca1f"),
+]
+
+
+@pytest.mark.parametrize("d,digest", GOLDEN_OPTIMIZE_BOUNDED)
+def test_bounded_optimize_output_is_byte_identical_to_golden(capsys, d, digest):
+    code, out, _ = run(capsys, "optimize", "--kind", "relaxed", "--dims", f"{d},{d},{d},{d}",
+                       "--p", "1/10")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def write_vertex_mixture(tmp_path, first, second, weight):
+    """weight * V(first) + (1 - weight) * V(second), two congruence vertices
+    at three outcomes."""
+    scenario = Scenario.symmetric(3)
+    v, u = nonlocal_vertex(scenario, first), nonlocal_vertex(scenario, second)
+    box = JointBox.from_function(
+        scenario, lambda x, y, a, b: weight * v.prob(x, y, a, b) + (1 - weight) * u.prob(x, y, a, b))
+    path = tmp_path / "mixture.json"
+    path.write_text(box_to_json(box))
+    return str(path)
+
+
+# stdout sha256 of `nsbox CMD --kind relaxed --p 1/3 --exhaustive-perms` on
+# 3/4 V(0,0,0) + 1/4 V(2,0,1): no argument holds at p = 0, and both PN family
+# members put positive mass (1/6 and 1/12) on the bounded condition
+GOLDEN_BOUNDED_SEARCH = {
+    "pn": "80831536194f817226e8221d74e2a063beb93674f7e873d83fa08809addc8bf2",
+    "verify": "c5e81f9a9c3c44bce54379e0cfbb264ed5ba42ffc72aee20f799a05474ca20fa",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_BOUNDED_SEARCH))
+def test_bounded_search_output_is_byte_identical_to_golden(capsys, tmp_path, command):
+    path = write_vertex_mixture(tmp_path, (0, 0, 0), (2, 0, 1), F(3, 4))
+    code, out, _ = run(capsys, command, path, "--kind", "relaxed", "--p", "1/3",
+                       "--exhaustive-perms")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_BOUNDED_SEARCH[command]
+    box = boxes.box_from_json(Path(path).read_text())
+    family = hardy.best_argument_with_pn(box, "relaxed", F(1, 3), True)[2].family
+    bounded = [sum(box.prob(*e) for e in hardy.argument_events(member).zeros[2])
+               for member in family]
+    assert bounded == [F(1, 6), F(1, 12)]
+
+
+def test_verify_reports_an_exceeded_bound_as_golden(capsys, tmp_path):
+    # 1/2 V(0,2,0) + 1/2 V(2,2,1): no relabeling holds at p = 1/10, and the
+    # identity argument fails only its bounded condition
+    path = write_vertex_mixture(tmp_path, (0, 2, 0), (2, 2, 1), F(1, 2))
+    code, out, _ = run(capsys, "verify", path, "--kind", "relaxed", "--p", "1/10")
+    assert code == 0
+    assert out.endswith("pp: not satisfied (bounded condition exceeds its bound: "
+                        "mass 1/6 > 1/10)\n")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "6eece49bb76df05d70624dd34a3bdda1c38b432bc4a2316fc27d91ef02100332")
+
+
 @pytest.mark.parametrize("command", ["pn", "verify"])
 def test_one_relabeling_search_per_command(capsys, tmp_path, monkeypatch, command):
     calls = []
@@ -494,7 +560,41 @@ def test_sweep_range_guards(capsys):
     assert code == 2 and "error" in err
 
 
+def test_sweep_cap_is_fixed(capsys):
+    code, out, err = run(capsys, "sweep", "--d-min", "2", "--d-max", "17")
+    assert (code, out) == (2, "")
+    assert err == "error: need 2 <= d-min <= d-max <= cap (16), got d-min=2, d-max=17\n"
+    # the cap is not a flag: argparse rejects --cap before any sweep runs
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--d-min", "2", "--d-max", "17", "--cap", "20"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --cap 20" in capsys.readouterr().err
+
+
 def test_sweep_unwritable_path(capsys):
     code, _, err = run(capsys, "sweep", "--d-min", "2", "--d-max", "2",
                        "--out", "/nonexistent-dir/sweep.csv")
     assert code == 1 and "error" in err
+
+
+# ---------------------------------------------------------------------------
+# option census
+
+# every option string of every subcommand: adding or removing a flag must
+# change this table
+OPTION_CENSUS = {
+    "optimize": {"-h", "--help", "--kind", "--dims", "--p", "--regime"},
+    "sweep": {"-h", "--help", "--d-min", "--d-max", "--out"},
+    "vertices": {"-h", "--help", "--dims", "--kind"},
+    "verify": {"-h", "--help", "--kind", "--p", "--exhaustive-perms"},
+    "pn": {"-h", "--help", "--kind", "--p", "--exhaustive-perms"},
+}
+
+
+def test_option_census():
+    parser = cli._build_parser()
+    assert {o for action in parser._actions for o in action.option_strings} == {"-h", "--help"}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    census = {name: {o for action in command._actions for o in action.option_strings}
+              for name, command in sub.choices.items()}
+    assert census == OPTION_CENSUS

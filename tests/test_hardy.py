@@ -51,6 +51,7 @@ from nsbox import (
     nonlocal_entry_fn,
     ns_program,
     permutation_family_size,
+    polytope_system,
     ppc,
     quantum_reference,
     uniform_box,
@@ -140,6 +141,26 @@ def test_input_swap_moves_designated_pair():
     # success now lives on physical block (x=1, y=0) with 3 Alice outcomes
     assert all(x == 1 and y == 0 for (x, y, _a, _b) in events.success)
     assert events.success == frozenset({(1, 0, 0, 1)})
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 4, 5)])
+def test_only_the_relaxed_third_condition_takes_the_bound(dims):
+    s = Scenario.from_dims(dims)
+    p = F(1, 3)
+    no_signaling_rows = len(polytope_system(s).eq_rows())
+    for relabeling in [Relabeling(*swaps) for swaps in SWAPS] + [swapped_relabeling(s)]:
+        for kind, bound, bounds in (("relaxed", p, (0, 0, p)), ("relaxed", F(0), (0, 0, 0)),
+                                    ("conventional", F(0), (0, 0, 0))):
+            arg, events = build_argument(kind, s, bound, relabeling)
+            assert events.bounds == bounds, (kind, relabeling)
+            lp = ns_program(arg)
+            if bound:
+                third = sorted((s.coord_index(*e), 1) for e in events.zeros[2])
+                assert lp.ineq_constraints == [(third, p)]
+                assert len(lp.eq_constraints) == no_signaling_rows + 2
+            else:
+                assert lp.ineq_constraints == []
+                assert len(lp.eq_constraints) == no_signaling_rows + 3
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +468,7 @@ def per_label_scan(arg):
     best = None
     for label in itertools.product(range(s.min_outputs), repeat=3):
         entry = nonlocal_entry_fn(s, label)
-        if hardy._violation(entry, events, arg.last_condition_bound) is None:
+        if hardy._violation(entry, events) is None:
             mass = hardy._mass(entry, events.success)
             satisfying[label] = mass
             if best is None or mass > best[1]:
@@ -676,6 +697,29 @@ def test_permutation_family_size(monkeypatch):
         hardy._check_search_budget(Scenario.from_dims([5000, 2, 2, 2]), False)
 
 
+def deduplicated_dihedral_perms(n):
+    """The construction _dihedral_perms replaced: the cyclic shifts, then the
+    reversed shifts, each kept unless an earlier member equals it."""
+    shifts = [tuple((r + k) % n for r in range(n)) for k in range(n)]
+    reversals = [tuple((k - r) % n for r in range(n)) for k in range(n)]
+    seen, family = set(), []
+    for perm in shifts + reversals:
+        if perm not in seen:
+            seen.add(perm)
+            family.append(perm)
+    return tuple(family)
+
+
+def test_shift_and_reversal_family_matches_the_deduplicated_construction():
+    for n in range(2, 10):
+        family = hardy._dihedral_perms(n)
+        assert family == deduplicated_dihedral_perms(n), n
+        assert len(family) == permutation_family_size(n, False)
+    # outcomes above 256 are not interned: the members share n int objects
+    family = hardy._dihedral_perms(300)
+    assert len({id(outcome) for perm in family for outcome in perm}) == 300
+
+
 def test_relation_search_depth_is_not_bounded_by_the_recursion_limit():
     # a branch of the search is as deep as Bob's outcome count (120 here);
     # one call frame per level would exceed the lowered limit
@@ -796,12 +840,13 @@ def differential_boxes(dims):
 def assert_search_matches_full_enumeration(monkeypatch, box, kind, p, swaps, exhaustive):
     # the full candidate lists, (cells, mass, chain) each, and PN of the
     # first candidate's chain as the base argument
+    arg = HardyArgument(kind, box.scenario, Relabeling(*swaps), p)
+
     def search():
-        candidates = hardy._success_candidates(box, kind, p, swaps, exhaustive)
+        candidates = hardy._success_candidates(box, arg, exhaustive)
         if not candidates:
             return candidates, None
-        rel = hardy._chain_relabeling(box.scenario, swaps, exhaustive, candidates[0][2])
-        base = HardyArgument(kind, box.scenario, rel, p)
+        base = hardy._chain_argument(arg, exhaustive, candidates[0][2])
         return candidates, compute_pn(box, base, exhaustive)
 
     fast = search()
@@ -846,13 +891,13 @@ def reference_candidates(box, kind, p, swaps, exhaustive):
     over the full-enumeration relations, each (ia0, ib0) pair in ascending
     order with its smallest ib1 and then its smallest ia1; the first pair is
     kept at any success mass, later ones only at positive mass."""
-    ax, by, counts = hardy._roles(box.scenario, swaps)
-    t_success, conditions = hardy._template(kind, *counts)
+    ax, by, counts = hardy._roles(HardyArgument(kind, box.scenario, Relabeling(*swaps)))
+    t_success, conditions = hardy._template(kind, p, *counts)
     fa0, fa1, fb0, fb1 = (hardy._perm_family(n, exhaustive) for n in counts)
     fam_a, fam_b = (fa0, fa1), (fb0, fb1)
 
     pairs = {}
-    for k, ((i, j), cells) in enumerate(conditions):
+    for k, ((i, j), cells, _bound) in enumerate(conditions):
         rel = full_enumeration_relation(box, (ax[i], by[j]), cells, fam_a[i], fam_b[j],
                                         p if k == 2 else F(0))
         pairs[(i, j)] = {(l, r) for l, row in rel.items()
@@ -885,7 +930,8 @@ def test_chain_join_matches_reference_join(dims):
         for kind, p in ARGUMENT_CASES:
             for swaps in SWAPS:
                 for exhaustive in (False, True):
-                    assert (hardy._success_candidates(box, kind, p, swaps, exhaustive)
+                    arg = HardyArgument(kind, box.scenario, Relabeling(*swaps), p)
+                    assert (hardy._success_candidates(box, arg, exhaustive)
                             == reference_candidates(box, kind, p, swaps, exhaustive)), (
                         dims, kind, p, swaps, exhaustive)
 
