@@ -12,9 +12,7 @@ from .lp import (
     LpResult,
     LpStatus,
     LpValidationError,
-    check_feasible,
     exact_rank,
-    feasible_above,
     solve_max,
 )
 from .boxes import (

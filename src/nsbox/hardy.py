@@ -154,6 +154,18 @@ class HardyArgument:
     relabeling: Relabeling = Relabeling()
     last_condition_bound: Fraction = _ZERO
 
+    def __post_init__(self):
+        """Check the kind and the bound, stored as a Fraction. The
+        relabeling is checked when the event sets are built."""
+        if self.kind not in (KIND_CONVENTIONAL, KIND_RELAXED):
+            raise ValueError(f"kind must be '{KIND_CONVENTIONAL}' or '{KIND_RELAXED}', got {self.kind!r}")
+        p = coerce_rational(self.last_condition_bound)
+        if p < 0 or p >= 1:
+            raise ValueError(f"last-condition bound must satisfy 0 <= p < 1, got {p}")
+        if self.kind == KIND_CONVENTIONAL and p != 0:
+            raise ValueError("the conventional argument has no bounded condition; p must be 0")
+        object.__setattr__(self, "last_condition_bound", p)
+
 
 @dataclass(frozen=True)
 class ArgumentEvents:
@@ -209,13 +221,6 @@ def format_event(event) -> str:
 def build_argument(kind: str, scenario: Scenario, p=_ZERO,
                    relabeling: Optional[Relabeling] = None) -> tuple[HardyArgument, ArgumentEvents]:
     """A validated argument together with its concrete event sets."""
-    if kind not in (KIND_CONVENTIONAL, KIND_RELAXED):
-        raise ValueError(f"kind must be '{KIND_CONVENTIONAL}' or '{KIND_RELAXED}', got {kind!r}")
-    p = coerce_rational(p)
-    if p < 0 or p >= 1:
-        raise ValueError(f"last-condition bound must satisfy 0 <= p < 1, got {p}")
-    if kind == KIND_CONVENTIONAL and p != 0:
-        raise ValueError("the conventional argument has no bounded condition; p must be 0")
     arg = HardyArgument(kind, scenario, relabeling if relabeling is not None else Relabeling(), p)
     return arg, argument_events(arg)
 

@@ -41,8 +41,6 @@ __all__ = [
     "LinearProgram",
     "LpResult",
     "solve_max",
-    "check_feasible",
-    "feasible_above",
     "exact_rank",
 ]
 
@@ -413,26 +411,18 @@ def _presolve(num_vars: int, eq, ineq):
     return keep, reduced_eq, reduced_ineq
 
 
-def _phase_one(lp: LinearProgram):
-    """Validate, presolve and run phase one. Returns (objective, keep,
-    tableau) at a basic feasible solution, or None when infeasible."""
-    objective, eq, ineq = lp.canonical()
-    reduced = _presolve(lp.num_vars, eq, ineq)
-    if reduced is None:
-        return None
-    keep, eq, ineq = reduced
-    tab = _Simplex(len(keep), eq, ineq)
-    return (objective, keep, tab) if tab.phase_one() else None
-
-
 def solve_max(lp: LinearProgram) -> LpResult:
     """Maximize exactly. OPTIMAL results carry an exact value and a vertex
     solution; the value is recomputed as objective . solution, so it satisfies
     the program by substitution."""
-    started = _phase_one(lp)
-    if started is None:
+    objective, eq, ineq = lp.canonical()
+    reduced = _presolve(lp.num_vars, eq, ineq)
+    if reduced is None:
         return LpResult(LpStatus.INFEASIBLE)
-    objective, keep, tab = started
+    keep, eq, ineq = reduced
+    tab = _Simplex(len(keep), eq, ineq)
+    if not tab.phase_one():
+        return LpResult(LpStatus.INFEASIBLE)
     if not tab.phase_two([objective[j] for j in keep]):
         return LpResult(LpStatus.UNBOUNDED)
     x = [_ZERO] * lp.num_vars
@@ -443,23 +433,6 @@ def solve_max(lp: LinearProgram) -> LpResult:
         if c and v:
             value += c * v
     return LpResult(LpStatus.OPTIMAL, value, tuple(x))
-
-
-def check_feasible(lp: LinearProgram) -> bool:
-    """True iff the constraint set admits any point (phase one only)."""
-    return _phase_one(lp) is not None
-
-
-def feasible_above(lp: LinearProgram, bound) -> bool:
-    """True iff some feasible point attains objective . x >= bound.
-
-    Duality spot-check helper: after solve_max returns value v, the program
-    must be feasible at bound v and infeasible at v + eps for any eps > 0.
-    """
-    objective = [as_exact(v) for v in lp.objective]
-    cut = (tuple((j, -c) for j, c in enumerate(objective) if c), -as_exact(bound))
-    probe = LinearProgram(lp.num_vars, lp.objective, lp.eq_constraints, [*lp.ineq_constraints, cut])
-    return check_feasible(probe)
 
 
 def exact_rank(rows) -> int:

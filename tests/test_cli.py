@@ -2,11 +2,14 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -598,3 +601,59 @@ def test_option_census():
     census = {name: {o for action in command._actions for o in action.option_strings}
               for name, command in sub.choices.items()}
     assert census == OPTION_CENSUS
+
+
+# ---------------------------------------------------------------------------
+# public-API census
+
+# the public names of the nsbox namespace (submodules aside) and each
+# module's __all__, sorted: adding or removing a public name must change
+# this table
+NSBOX_NAMES = [
+    "ArgumentEvents", "ArgumentNotSatisfied", "ConstraintSystem", "HardyArgument", "JointBox",
+    "KIND_CONVENTIONAL", "KIND_RELAXED", "LinearCondition", "LinearProgram", "LocalLabel",
+    "LpResult", "LpStatus", "LpValidationError", "MAX_LHV_STRATEGIES", "MAX_PERMUTATION_FAMILY",
+    "NonlocalLabel", "OptimizationReport", "PnResult", "QuantumReference", "REGIME_LHV",
+    "REGIME_NS", "Relabeling", "Scenario", "SearchBudgetExceeded", "ValidationReport",
+    "argument_events", "attaining_nonlocal_vertex", "best_argument_with_pn",
+    "best_satisfied_argument", "box_from_json", "box_from_json_dict", "box_to_json",
+    "box_to_json_dict", "build_argument", "build_normalization", "build_nosignaling",
+    "build_positivity", "coerce_rational", "compute_pn", "convex_decomposition",
+    "deterministic_box", "deterministic_strategies", "embed", "enumerate_vertices",
+    "evaluate_pp", "exact_rank", "format_event", "format_rational", "is_local", "is_valid_box",
+    "local_vertex", "marginal", "max_success_lhv", "max_success_ns", "nonlocal_entry_fn",
+    "nonlocal_vertex", "ns_program", "parse_rational", "permutation_family_size",
+    "polytope_dimension", "polytope_system", "ppc", "quantum_reference", "solve_max",
+    "uniform_box",
+]
+MODULE_ALL = {
+    "rationals": ["coerce_rational", "format_rational", "parse_rational"],
+    "lp": ["LinearProgram", "LpResult", "LpStatus", "LpValidationError", "exact_rank",
+           "solve_max"],
+    "boxes": ["ConstraintSystem", "INPUT_PAIRS", "JointBox", "LinearCondition", "PARTIES",
+              "Scenario", "ValidationReport", "box_from_json", "box_from_json_dict",
+              "box_to_json", "box_to_json_dict", "build_normalization", "build_nosignaling",
+              "build_positivity", "is_valid_box", "marginal", "polytope_dimension",
+              "polytope_system", "uniform_box"],
+    "vertices": ["LocalLabel", "NonlocalLabel", "convex_decomposition", "deterministic_box",
+                 "deterministic_strategies", "embed", "enumerate_vertices", "is_local",
+                 "local_vertex", "nonlocal_entry_fn", "nonlocal_vertex"],
+    "hardy": ["ArgumentEvents", "ArgumentNotSatisfied", "HardyArgument", "KIND_CONVENTIONAL",
+              "KIND_RELAXED", "MAX_LHV_STRATEGIES", "MAX_PERMUTATION_FAMILY",
+              "OptimizationReport", "PnResult", "QuantumReference", "REGIME_LHV", "REGIME_NS",
+              "Relabeling", "SearchBudgetExceeded", "argument_events",
+              "attaining_nonlocal_vertex", "best_argument_with_pn", "best_satisfied_argument",
+              "build_argument", "compute_pn", "evaluate_pp", "format_event", "max_success_lhv",
+              "max_success_ns", "ns_program", "permutation_family_size", "ppc",
+              "quantum_reference"],
+    "cli": ["main"],
+}
+
+
+def test_public_api_census():
+    names = sorted(name for name, value in vars(nsbox).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == NSBOX_NAMES
+    modules = [info.name for info in pkgutil.iter_modules(nsbox.__path__)]
+    assert {name: sorted(importlib.import_module(f"nsbox.{name}").__all__)
+            for name in modules} == MODULE_ALL

@@ -42,7 +42,6 @@ from nsbox import (
     deterministic_strategies,
     enumerate_vertices,
     evaluate_pp,
-    feasible_above,
     is_valid_box,
     local_vertex,
     max_success_lhv,
@@ -58,6 +57,8 @@ from nsbox import (
 )
 from nsbox import hardy
 from nsbox.lp import _presolve
+
+from certificates import certify_optimum
 
 F = Fraction
 
@@ -120,18 +121,23 @@ def test_kinds_coincide_at_two_outcomes_up_to_relabeling():
 
 def test_argument_validation():
     s = Scenario.symmetric(2)
-    with pytest.raises(ValueError):
-        build_argument("other", s)
-    with pytest.raises(ValueError):
-        build_argument("relaxed", s, p=1)
-    with pytest.raises(ValueError):
-        build_argument("relaxed", s, p=F(-1, 2))
-    with pytest.raises(ValueError):
-        build_argument("conventional", s, p=F(1, 10))
+    # build_argument and a raw HardyArgument refuse the same kinds and
+    # bounds with the same message
+    bad = [("other", s, F(0)), ("relaxed", s, 1), ("relaxed", s, F(-1, 2)),
+           ("conventional", s, F(1, 10)), ("relaxed", s, 0.1),  # floats stay out
+           ("conventional", Scenario.symmetric(3), F(1, 10))]
+    for kind, scenario, p in bad:
+        with pytest.raises(ValueError) as built:
+            build_argument(kind, scenario, p=p)
+        with pytest.raises(ValueError) as raw:
+            HardyArgument(kind, scenario, Relabeling(), p)
+        assert str(raw.value) == str(built.value), (kind, p)
+    # the relabeling is checked when the event sets are built
     with pytest.raises(ValueError):
         build_argument("relaxed", s, relabeling=Relabeling(alice_perms=((0, 0), (0, 1))))
-    with pytest.raises(ValueError):
-        build_argument("relaxed", s, p=0.1)  # floats stay out
+    # a rational string is stored as the Fraction it names
+    bound = HardyArgument("relaxed", s, Relabeling(), "1/3").last_condition_bound
+    assert type(bound) is Fraction and bound == F(1, 3)
 
 
 def test_input_swap_moves_designated_pair():
@@ -187,13 +193,37 @@ def test_relaxed_ns_optimum_tracks_min_outputs():
         assert evaluate_pp(report.witness, arg) == expected
 
 
-def test_ns_optimum_duality_spot_check():
-    for kind, dims in (("conventional", (2, 2, 2, 2)), ("relaxed", (3, 3, 3, 3))):
-        arg, _ = build_argument(kind, Scenario.from_dims(dims))
-        lp = ns_program(arg)
-        value = max_success_ns(arg).optimum
-        assert feasible_above(lp, value)
-        assert not feasible_above(lp, value + F(1, 1000))
+def carried_optimum(kind, d, p):
+    """The paper's no-signaling optimum: 1/2 for the conventional kind,
+    (d-1)/d for the relaxed kind, raised by the bound p to at most 1."""
+    if kind == "conventional":
+        return F(1, 2)
+    return min(F(1), F(d - 1, d) * (1 + p))
+
+
+def test_ns_optima_carry_exact_certificates():
+    cases = [(kind, d, F(0)) for kind in ("conventional", "relaxed") for d in range(2, 7)]
+    cases += [("relaxed", d, p) for d in range(2, 5) for p in (F(1, 20), F(1, 10), F(1, 5))]
+    for kind, d, p in cases:
+        arg, _ = build_argument(kind, Scenario.symmetric(d), p)
+        value = certify_optimum(ns_program(arg))
+        assert value == max_success_ns(arg).optimum == carried_optimum(kind, d, p), (kind, d, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_certified_ns_optimum_ignores_relabeling(data):
+    d = data.draw(st.integers(2, 4), label="d")
+    kind, p = data.draw(st.sampled_from([("conventional", F(0)), ("relaxed", F(0)),
+                                         ("relaxed", F(1, 10))]), label="argument")
+    perm = st.permutations(range(d)).map(tuple)
+    relabeling = Relabeling(data.draw(st.booleans(), label="alice swap"),
+                            data.draw(st.booleans(), label="bob swap"),
+                            data.draw(st.tuples(perm, perm), label="alice perms"),
+                            data.draw(st.tuples(perm, perm), label="bob perms"))
+    arg, _ = build_argument(kind, Scenario.symmetric(d), p, relabeling)
+    # the identity argument's certified optimum, as the test above shows
+    assert certify_optimum(ns_program(arg)) == carried_optimum(kind, d, p)
 
 
 def test_relaxed_optimum_monotone_in_bound():

@@ -16,6 +16,9 @@ The integer simplex tableau is also checked against a reference Fraction
 tableau kept below: same results through the same pivots. Likewise the
 presolve on int rows is checked against the presolve on Fraction rows that
 it replaced: same variables kept, same rational rows, same verdicts.
+
+Optima are proved by the exact dual certificates of ``certificates``, and
+feasibility is a zero-objective ``solve_max`` returning OPTIMAL.
 """
 
 import itertools
@@ -41,14 +44,15 @@ from nsbox import (
     nonlocal_vertex,
     ns_program,
     uniform_box,
-    check_feasible,
     exact_rank,
-    feasible_above,
     coerce_rational,
     solve_max,
 )
 from nsbox import lp as lp_module
 from nsbox.lp import _presolve
+
+import certificates
+from certificates import certify_optimum
 
 F = Fraction
 
@@ -62,6 +66,16 @@ def program(num_vars, objective, eq=(), ineq=()):
     """A LinearProgram from dense rows."""
     return LinearProgram(num_vars, objective, [(sparse(r), b) for r, b in eq],
                          [(sparse(r), b) for r, b in ineq])
+
+
+def zero_objective(lp):
+    """lp with a zero objective: solve_max runs its phase one, and phase two
+    has nothing to improve."""
+    return LinearProgram(lp.num_vars, [0] * lp.num_vars, lp.eq_constraints, lp.ineq_constraints)
+
+
+def feasible(lp):
+    return solve_max(zero_objective(lp)).status is LpStatus.OPTIMAL
 
 
 def test_single_bounded_variable():
@@ -84,10 +98,10 @@ def test_contradictory_rows_infeasible():
     assert solve_max(lp).status is LpStatus.INFEASIBLE
 
 
-def test_check_feasible_basics():
-    assert check_feasible(program(1, [0], [([1], 1)], []))
+def test_zero_objective_feasibility_basics():
+    assert feasible(program(1, [0], [([1], 1)], []))
     # x = -1 contradicts x >= 0
-    assert not check_feasible(program(1, [0], [([1], -1)], []))
+    assert not feasible(program(1, [0], [([1], -1)], []))
 
 
 def test_unbounded_detected():
@@ -204,12 +218,27 @@ def test_coerce_rational_returns_a_fraction_as_it_is():
         coerce_rational(object())
 
 
-def test_duality_spot_check_helper():
+def test_optimality_certificate_helper():
     lp = program(2, [1, 1], [([1, 2], 2)], [([1, 0], 1)])
     res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL
-    assert feasible_above(lp, res.value)
-    assert not feasible_above(lp, res.value + F(1, 1000))
+    assert certify_optimum(lp) == res.value == F(3, 2)
+    # the dual has one row per primal variable over (y+, y-, z)
+    dual = certificates.dual_program(lp)
+    assert (dual.num_vars, len(dual.eq_constraints), len(dual.ineq_constraints)) == (3, 0, 2)
+
+    # a feasible point short of the optimum, reported as optimal, fails the
+    # substitution: no dual solution can close the gap
+    def short_of_optimum(program):
+        found = solve_max(program)
+        if program is lp:
+            return LpResult(LpStatus.OPTIMAL, F(1), (F(0), F(1)))
+        return found
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(certificates, "solve_max", short_of_optimum)
+        with pytest.raises(AssertionError):
+            certify_optimum(lp)
 
 
 def test_presolve_forces_zeros_through_mixed_sign_row():
@@ -231,7 +260,7 @@ def test_presolve_empty_rows_decide_infeasibility():
     empty_ineq = program(2, [1, 1], [], [([0, 0], -1), ([1, 1], 1)])
     for lp in (empty_eq, emptied_eq, empty_ineq):
         assert solve_max(lp).status is LpStatus.INFEASIBLE
-        assert not check_feasible(lp)
+        assert not feasible(lp)
     # an empty <= row with rhs >= 0 is just dropped
     res = solve_max(program(1, [1], [], [([0], 0), ([1], 1)]))
     assert res.status is LpStatus.OPTIMAL and res.value == 1
@@ -276,10 +305,9 @@ def test_feasibility_helpers_agree_with_solve_max():
     ]
     for lp in programs:
         res = solve_max(lp)
-        assert check_feasible(lp) == (res.status is LpStatus.OPTIMAL)
+        assert feasible(lp) == (res.status is LpStatus.OPTIMAL)
         if res.status is LpStatus.OPTIMAL:
-            assert feasible_above(lp, res.value)
-            assert not feasible_above(lp, res.value + F(1, 1000))
+            assert certify_optimum(lp) == res.value
 
 
 def test_to_json_dict_wire_format():
@@ -406,7 +434,7 @@ def test_random_programs_match_brute_force(data):
         assert [scale for _, _, scale in canon] == \
             [math.lcm(rhs.denominator, *(c.denominator for c in row)) for row, rhs in dense]
 
-    assert check_feasible(lp) == (oracle is not None)
+    assert feasible(lp) == (oracle is not None)
     if oracle is None:
         assert res.status is LpStatus.INFEASIBLE
         return
@@ -428,9 +456,8 @@ def test_random_programs_match_brute_force(data):
     eq_rank = exact_rank([row for row, _ in eq]) if eq else 0
     assert tight >= n - eq_rank
 
-    # duality spot check and determinism
-    assert feasible_above(lp, res.value)
-    assert not feasible_above(lp, res.value + Fraction(1, 7))
+    # exact optimality certificate and determinism
+    assert certify_optimum(lp) == res.value
     again = solve_max(lp)
     assert (again.status, again.value, again.solution) == (res.status, res.value, res.solution)
 
@@ -707,7 +734,7 @@ def test_random_programs_match_fraction_tableau(data):
     n, objective, eq, ineq = _program_strategy(data.draw)
     lp = program(n, objective, eq, ineq)
     same_as_fraction_tableau(solve_max, lp)
-    same_as_fraction_tableau(check_feasible, lp)
+    same_as_fraction_tableau(solve_max, zero_objective(lp))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -856,5 +883,5 @@ def test_tableau_rows_have_no_artificial_columns():
         assert solve_max(ns_program(bounded)).status is LpStatus.OPTIMAL
         assert is_local(uniform_box(Scenario.symmetric(3)))
         # a negated <= row and an equality: two artificials, one a slack row's
-        assert check_feasible(program(2, [1, 1], [([1, 1], 1)], [([-1, 0], F(-1, 2))]))
+        assert feasible(program(2, [1, 1], [([1, 1], 1)], [([-1, 0], F(-1, 2))]))
     assert seen
