@@ -44,10 +44,10 @@ from .vertices import (
     enumerate_vertices,
     is_local,
     local_vertex,
-    nonlocal_entry_fn,
     nonlocal_vertex,
 )
 from .hardy import (
+    HARDY_QUANTUM_OPTIMUM,
     KIND_CONVENTIONAL,
     KIND_RELAXED,
     MAX_LHV_STRATEGIES,
@@ -59,7 +59,6 @@ from .hardy import (
     HardyArgument,
     OptimizationReport,
     PnResult,
-    QuantumReference,
     Relabeling,
     SearchBudgetExceeded,
     argument_events,
@@ -75,7 +74,6 @@ from .hardy import (
     ns_program,
     permutation_family_size,
     ppc,
-    quantum_reference,
 )
 
 __version__ = "0.1.0"

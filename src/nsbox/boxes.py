@@ -86,13 +86,6 @@ class Scenario:
     def dims(self) -> tuple[int, int, int, int]:
         return self.alice + self.bob
 
-    def outputs(self, party: str, x: int) -> int:
-        if party not in PARTIES:
-            raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-        if x not in (0, 1):
-            raise ValueError(f"input must be 0 or 1, got {x!r}")
-        return (self.alice if party == "A" else self.bob)[x]
-
     @property
     def min_outputs(self) -> int:
         """The reduced outcome count d: the minimum over all four inputs."""
@@ -217,14 +210,6 @@ class ConstraintSystem:
     scenario: Scenario
     conditions: tuple[LinearCondition, ...]
 
-    def merge(self, *others: "ConstraintSystem") -> "ConstraintSystem":
-        conds = list(self.conditions)
-        for other in others:
-            if other.scenario != self.scenario:
-                raise ValueError("cannot merge constraint systems over different scenarios")
-            conds.extend(other.conditions)
-        return ConstraintSystem(self.scenario, tuple(conds))
-
     def eq_rows(self) -> list[tuple[tuple[tuple[int, int], ...], int]]:
         return [(c.coeffs, c.rhs) for c in self.conditions if c.relation == "eq"]
 
@@ -293,7 +278,8 @@ def polytope_system(scenario: Scenario) -> ConstraintSystem:
 
     Built once per scenario and cached: every caller shares the same
     immutable system (eq_rows still hands out a fresh list)."""
-    return build_normalization(scenario).merge(build_nosignaling(scenario))
+    return ConstraintSystem(scenario, build_normalization(scenario).conditions
+                            + build_nosignaling(scenario).conditions)
 
 
 @dataclass(frozen=True)
@@ -340,27 +326,20 @@ def _validate(box: JointBox) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
-def marginal(box: JointBox, party: str, x: int, outcome: int, far_input: int = 0) -> Fraction:
-    """One party's marginal P(outcome | input), summed on a chosen far input.
-
-    For a valid box the result is independent of far_input; the parameter
-    exists so that independence can be tested rather than assumed.
-    """
-    s = box.scenario
-    n_own = s.outputs(party, x)
+def marginal(box: JointBox, party: str, x: int, outcome: int) -> Fraction:
+    """One party's marginal P(outcome | input), summed on far input 0. On a
+    valid box it is the same on far input 1; is_valid_box checks that."""
+    if party not in PARTIES:
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    if x not in (0, 1):
+        raise ValueError(f"input must be 0 or 1, got {x!r}")
+    n_own = (box.scenario.alice if party == "A" else box.scenario.bob)[x]
     if not isinstance(outcome, int) or not 0 <= outcome < n_own:
         raise ValueError(
             f"outcome {outcome!r} out of range for party {party} input {x} ({n_own} outcomes, 0-based)")
-    if far_input not in (0, 1):
-        raise ValueError(f"far_input must be 0 or 1, got {far_input!r}")
-    total = _ZERO
     if party == "A":
-        for b in range(s.bob[far_input]):
-            total += box.prob(x, far_input, outcome, b)
-    else:
-        for a in range(s.alice[far_input]):
-            total += box.prob(far_input, x, a, outcome)
-    return total
+        return sum(box.block(x, 0)[outcome], _ZERO)
+    return sum((row[outcome] for row in box.block(0, x)), _ZERO)
 
 
 def polytope_dimension(scenario: Scenario) -> int:

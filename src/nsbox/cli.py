@@ -27,6 +27,7 @@ from .boxes import (
 )
 from .hardy import (
     ArgumentNotSatisfied,
+    HARDY_QUANTUM_OPTIMUM,
     HardyArgument,
     KIND_CONVENTIONAL,
     KIND_RELAXED,
@@ -38,10 +39,9 @@ from .hardy import (
     evaluate_pp,
     max_success_lhv,
     max_success_ns,
-    quantum_reference,
 )
 from .rationals import format_rational, parse_rational
-from .vertices import enumerate_vertices
+from .vertices import LocalLabel, enumerate_vertices
 
 __all__ = ["main"]
 
@@ -113,11 +113,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_vertices(args) -> int:
-    kinds = ("local", "nonlocal") if args.kind == "all" else (args.kind,)
-    for kind in kinds:
-        for label, box in enumerate_vertices(args.dims, kind):
-            line = {"kind": kind, "label": list(label), "box": box_to_json_dict(box)}
-            print(json.dumps(line, separators=(",", ":")))
+    for label, box in enumerate_vertices(args.dims, args.kind):
+        kind = "local" if isinstance(label, LocalLabel) else "nonlocal"
+        line = {"kind": kind, "label": list(label), "box": box_to_json_dict(box)}
+        print(json.dumps(line, separators=(",", ":")))
     return 0
 
 
@@ -157,13 +156,12 @@ def sweep_rows(d_min: int, d_max: int) -> list[dict]:
         q_rh = max_success_ns(relaxed).optimum
         _label, vertex_box, pp = attaining_nonlocal_vertex(relaxed)
         pn = compute_pn(vertex_box, relaxed).pn
-        ref = quantum_reference(KIND_CONVENTIONAL, d) if d == 2 else None
         rows.append({
             "d": d,
             "q_H_gnst": q_h,
             "q_RH_gnst": q_rh,
             "PPC_gnst": pn - pp,
-            "quantum_ref": ref.value if ref is not None else None,
+            "quantum_ref": HARDY_QUANTUM_OPTIMUM if d == 2 else None,
         })
     return rows
 

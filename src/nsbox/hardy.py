@@ -70,9 +70,9 @@ __all__ = [
     "SearchBudgetExceeded",
     "MAX_PERMUTATION_FAMILY",
     "MAX_LHV_STRATEGIES",
+    "HARDY_QUANTUM_OPTIMUM",
     "OptimizationReport",
     "PnResult",
-    "QuantumReference",
     "build_argument",
     "argument_events",
     "format_event",
@@ -86,7 +86,6 @@ __all__ = [
     "best_satisfied_argument",
     "best_argument_with_pn",
     "attaining_nonlocal_vertex",
-    "quantum_reference",
 ]
 
 KIND_CONVENTIONAL = "conventional"
@@ -105,6 +104,14 @@ MAX_PERMUTATION_FAMILY = 5040
 # strategy costs about 1-2 us (Python 3.11, 2-vCPU VM), so this is a few
 # seconds; outcome counts (200, 200, 200, 200) would mean 1.6e9 strategies.
 MAX_LHV_STRATEGIES = 10**6
+
+# The conventional argument's quantum optimum (5*sqrt(5) - 11)/2, about
+# 0.09017: irrational, the same for every outcome count, and equal to the
+# two-outcome relaxed argument's; beyond two outcomes no closed form is
+# carried. A reference value only, never optimized: (sqrt(125) - 11)/2
+# floored at 30 decimal places, as isqrt(125 * 10**60) is
+# floor(sqrt(125) * 10**30).
+HARDY_QUANTUM_OPTIMUM = Fraction((math.isqrt(125 * 10**60) - 11 * 10**30) // 2, 10**30)
 
 
 @dataclass(frozen=True)
@@ -859,38 +866,3 @@ def attaining_nonlocal_vertex(arg: HardyArgument) -> tuple[NonlocalLabel, JointB
     if pp != mass:
         raise RuntimeError("internal error: scan and table evaluation disagree")
     return NonlocalLabel(*label), box, pp
-
-
-@dataclass(frozen=True)
-class QuantumReference:
-    """A documented reference value; nothing quantum is ever computed here.
-    value is the irrational constant rounded down to 30 decimal places, as
-    an exact Fraction."""
-
-    value: Fraction
-    note: str
-
-
-# (5*sqrt(5) - 11)/2 = (sqrt(125) - 11)/2, floored at 30 decimal places:
-# isqrt(125 * 10**60) is floor(sqrt(125) * 10**30)
-_TWO_OUTCOME_QUANTUM = Fraction((math.isqrt(125 * 10**60) - 11 * 10**30) // 2, 10**30)
-
-
-def quantum_reference(kind: str, min_outputs: int) -> Optional[QuantumReference]:
-    """Known quantum optimum for comparison plots, where one exists.
-
-    The conventional argument's quantum optimum is (5*sqrt(5) - 11)/2, about
-    0.09017, an irrational number that is the same for every outcome count;
-    it is carried as a 30-place decimal from integer arithmetic, never
-    optimized. The two-outcome relaxed argument coincides with the
-    conventional one; beyond two outcomes no closed form is carried.
-    """
-    if kind == KIND_CONVENTIONAL:
-        return QuantumReference(
-            _TWO_OUTCOME_QUANTUM,
-            "(5*sqrt(5)-11)/2, irrational; independent of the outcome count; reference only")
-    if kind == KIND_RELAXED and min_outputs == 2:
-        return QuantumReference(
-            _TWO_OUTCOME_QUANTUM,
-            "two-outcome case coincides with the conventional argument; reference only")
-    return None

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .boxes import JointBox, Scenario, is_valid_box
 from .lp import LinearProgram, LpStatus, solve_max
@@ -29,7 +29,6 @@ __all__ = [
     "NonlocalLabel",
     "local_vertex",
     "nonlocal_vertex",
-    "nonlocal_entry_fn",
     "enumerate_vertices",
     "deterministic_box",
     "deterministic_strategies",
@@ -74,11 +73,8 @@ def local_vertex(scenario: Scenario, label) -> JointBox:
                              (b_offset, (b_slope + b_offset) % d))
 
 
-def nonlocal_entry_fn(scenario: Scenario, label) -> Callable[[int, int, int, int], Fraction]:
-    """Closed-form entry evaluator for a congruence box (validated once).
-
-    Useful for scanning many labels without materializing each table.
-    """
+def nonlocal_vertex(scenario: Scenario, label) -> JointBox:
+    """The congruence box: weight 1/d on one outcome-difference class per block."""
     x_coeff, y_coeff, shift = _checked_label(scenario, label, 3)
     d = scenario.min_outputs
     weight = Fraction(1, d)
@@ -88,12 +84,7 @@ def nonlocal_entry_fn(scenario: Scenario, label) -> Callable[[int, int, int, int
             return weight
         return _ZERO
 
-    return prob
-
-
-def nonlocal_vertex(scenario: Scenario, label) -> JointBox:
-    """The congruence box: weight 1/d on one outcome-difference class per block."""
-    return JointBox.from_function(scenario, nonlocal_entry_fn(scenario, label))
+    return JointBox.from_function(scenario, prob)
 
 
 def enumerate_vertices(scenario: Scenario, kind: str = "all"):
@@ -130,14 +121,18 @@ def deterministic_strategies(scenario: Scenario) -> Iterator[tuple[tuple[int, in
 
 
 def deterministic_box(scenario: Scenario, alice_outputs, bob_outputs) -> JointBox:
-    """The deterministic box answering alice_outputs[x] and bob_outputs[y]."""
+    """The deterministic box answering alice_outputs[x] and bob_outputs[y]:
+    one int answer per input, within that input's outcome count."""
     alice_outputs = tuple(alice_outputs)
     bob_outputs = tuple(bob_outputs)
-    for x in (0, 1):
-        if not 0 <= alice_outputs[x] < scenario.alice[x]:
-            raise ValueError(f"alice answer {alice_outputs[x]!r} out of range for input {x}")
-        if not 0 <= bob_outputs[x] < scenario.bob[x]:
-            raise ValueError(f"bob answer {bob_outputs[x]!r} out of range for input {x}")
+    for who, answers, counts in (("alice", alice_outputs, scenario.alice),
+                                 ("bob", bob_outputs, scenario.bob)):
+        if len(answers) != 2:
+            raise ValueError(f"{who} needs one answer per input, got {answers!r}")
+        for x, (v, n) in enumerate(zip(answers, counts)):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise ValueError(f"{who} answer for input {x} must be an integer in 0..{n - 1}, "
+                                 f"got {v!r}")
 
     def prob(x, y, a, b):
         return _ONE if a == alice_outputs[x] and b == bob_outputs[y] else _ZERO

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -105,6 +106,12 @@ def test_optimize_usage_errors(capsys):
         main(["optimize", "--kind", "relaxed", "--dims", "2,2"])
     assert info.value.code == 2
     capsys.readouterr()
+
+    with pytest.raises(SystemExit) as info:
+        main(["optimize", "--kind", "relaxed", "--dims", "2,2,2,2", "--p", "abc"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --p: bad --p 'abc': not a rational: 'abc'\n")
 
     # semantically bad combination: conventional kind with a bound
     code, _, err = run(capsys, "optimize", "--kind", "conventional", "--dims", "2,2,2,2",
@@ -218,13 +225,32 @@ def test_verify_unsatisfied_box(capsys, tmp_path):
 
 
 def test_verify_missing_and_malformed_files(capsys, tmp_path):
-    code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"), "--kind", "relaxed")
-    assert code == 1 and "error" in err
+    for command in ("verify", "pn"):
+        code, out, err = run(capsys, command, str(tmp_path / "nope.json"), "--kind", "relaxed")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2] No such file or directory:") and err.count("\n") == 1
 
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     code, _, err = run(capsys, "verify", str(path), "--kind", "relaxed")
     assert code == 1 and "error" in err
+
+    good = json.loads(box_to_json(nonlocal_vertex(Scenario.symmetric(2), (0, 0, 0))))
+    cell, rest = good["table"][0], good["table"][1:]
+    refusals = [
+        ([], "expected an object, got list"),
+        ({"scenario": 3, "table": []}, "'scenario' must be an object with 'dA' and 'dB'"),
+        ({"scenario": {"dA": [1, 2], "dB": [2, 2]}, "table": []},
+         "bad scenario: alice outcome count must be an integer >= 2, got 1"),
+        (dict(good, table={}), "'table' must be a list of cell objects"),
+        (dict(good, table=[5] + rest), "table entry 0 is not an object"),
+        (dict(good, table=[{"x": 0}] + rest), "table entry 0 lacks keys ['y', 'a', 'b', 'p']"),
+        (dict(good, table=[dict(cell, a="1")] + rest), "table entry 0 has non-integer coordinates"),
+    ]
+    for data, message in refusals:
+        path.write_text(json.dumps(data))
+        assert run(capsys, "verify", str(path), "--kind", "relaxed") == (
+            1, "", f"error: box JSON: {message}\n")
 
 
 def test_verify_refuses_huge_declared_scenario(capsys, tmp_path):
@@ -535,7 +561,8 @@ def test_decimal_rounds_like_twelve_digit_g_format():
     # exact integer rounding prints what formatting the nearest float printed
     rng = random.Random(12)
     cases = [F(0), F(1), F(-3, 7), F(1, 8), F(10**12), F(10**12 - 1), F(999999999999, 10**17),
-             F(1, 10**5), F(123456789, 10**4), hardy.quantum_reference("conventional", 2).value]
+             F(1, 10**5), F(123456789, 10**4), hardy.HARDY_QUANTUM_OPTIMUM,
+             F(9999999999999, 10**13), F(1999999999999, 2)]  # both round up a digit
     for _ in range(3000):
         k = rng.choice([10, 1000, 10**6, 10**13, 10**20])
         cases.append(F(rng.randint(-k, k), rng.randint(1, k)))
@@ -610,43 +637,118 @@ def test_option_census():
 # module's __all__, sorted: adding or removing a public name must change
 # this table
 NSBOX_NAMES = [
-    "ArgumentEvents", "ArgumentNotSatisfied", "ConstraintSystem", "HardyArgument", "JointBox",
-    "KIND_CONVENTIONAL", "KIND_RELAXED", "LinearCondition", "LinearProgram", "LocalLabel",
-    "LpResult", "LpStatus", "LpValidationError", "MAX_LHV_STRATEGIES", "MAX_PERMUTATION_FAMILY",
-    "NonlocalLabel", "OptimizationReport", "PnResult", "QuantumReference", "REGIME_LHV",
-    "REGIME_NS", "Relabeling", "Scenario", "SearchBudgetExceeded", "ValidationReport",
-    "argument_events", "attaining_nonlocal_vertex", "best_argument_with_pn",
+    "ArgumentEvents", "ArgumentNotSatisfied", "ConstraintSystem", "HARDY_QUANTUM_OPTIMUM",
+    "HardyArgument", "JointBox", "KIND_CONVENTIONAL", "KIND_RELAXED", "LinearCondition",
+    "LinearProgram", "LocalLabel", "LpResult", "LpStatus", "LpValidationError",
+    "MAX_LHV_STRATEGIES", "MAX_PERMUTATION_FAMILY", "NonlocalLabel", "OptimizationReport",
+    "PnResult", "REGIME_LHV", "REGIME_NS", "Relabeling", "Scenario", "SearchBudgetExceeded",
+    "ValidationReport", "argument_events", "attaining_nonlocal_vertex", "best_argument_with_pn",
     "best_satisfied_argument", "box_from_json", "box_from_json_dict", "box_to_json",
     "box_to_json_dict", "build_argument", "build_normalization", "build_nosignaling",
     "build_positivity", "coerce_rational", "compute_pn", "convex_decomposition",
-    "deterministic_box", "deterministic_strategies", "embed", "enumerate_vertices",
-    "evaluate_pp", "exact_rank", "format_event", "format_rational", "is_local", "is_valid_box",
-    "local_vertex", "marginal", "max_success_lhv", "max_success_ns", "nonlocal_entry_fn",
-    "nonlocal_vertex", "ns_program", "parse_rational", "permutation_family_size",
-    "polytope_dimension", "polytope_system", "ppc", "quantum_reference", "solve_max",
-    "uniform_box",
+    "deterministic_box", "deterministic_strategies", "embed", "enumerate_vertices", "evaluate_pp",
+    "exact_rank", "format_event", "format_rational", "is_local", "is_valid_box", "local_vertex",
+    "marginal", "max_success_lhv", "max_success_ns", "nonlocal_vertex", "ns_program",
+    "parse_rational", "permutation_family_size", "polytope_dimension", "polytope_system", "ppc",
+    "solve_max", "uniform_box",
 ]
 MODULE_ALL = {
     "rationals": ["coerce_rational", "format_rational", "parse_rational"],
-    "lp": ["LinearProgram", "LpResult", "LpStatus", "LpValidationError", "exact_rank",
-           "solve_max"],
+    "lp": ["LinearProgram", "LpResult", "LpStatus", "LpValidationError", "exact_rank", "solve_max"],
     "boxes": ["ConstraintSystem", "INPUT_PAIRS", "JointBox", "LinearCondition", "PARTIES",
-              "Scenario", "ValidationReport", "box_from_json", "box_from_json_dict",
-              "box_to_json", "box_to_json_dict", "build_normalization", "build_nosignaling",
-              "build_positivity", "is_valid_box", "marginal", "polytope_dimension",
-              "polytope_system", "uniform_box"],
+              "Scenario", "ValidationReport", "box_from_json", "box_from_json_dict", "box_to_json",
+              "box_to_json_dict", "build_normalization", "build_nosignaling", "build_positivity",
+              "is_valid_box", "marginal", "polytope_dimension", "polytope_system", "uniform_box"],
     "vertices": ["LocalLabel", "NonlocalLabel", "convex_decomposition", "deterministic_box",
                  "deterministic_strategies", "embed", "enumerate_vertices", "is_local",
-                 "local_vertex", "nonlocal_entry_fn", "nonlocal_vertex"],
-    "hardy": ["ArgumentEvents", "ArgumentNotSatisfied", "HardyArgument", "KIND_CONVENTIONAL",
-              "KIND_RELAXED", "MAX_LHV_STRATEGIES", "MAX_PERMUTATION_FAMILY",
-              "OptimizationReport", "PnResult", "QuantumReference", "REGIME_LHV", "REGIME_NS",
-              "Relabeling", "SearchBudgetExceeded", "argument_events",
-              "attaining_nonlocal_vertex", "best_argument_with_pn", "best_satisfied_argument",
-              "build_argument", "compute_pn", "evaluate_pp", "format_event", "max_success_lhv",
-              "max_success_ns", "ns_program", "permutation_family_size", "ppc",
-              "quantum_reference"],
+                 "local_vertex", "nonlocal_vertex"],
+    "hardy": ["ArgumentEvents", "ArgumentNotSatisfied", "HARDY_QUANTUM_OPTIMUM", "HardyArgument",
+              "KIND_CONVENTIONAL", "KIND_RELAXED", "MAX_LHV_STRATEGIES", "MAX_PERMUTATION_FAMILY",
+              "OptimizationReport", "PnResult", "REGIME_LHV", "REGIME_NS", "Relabeling",
+              "SearchBudgetExceeded", "argument_events", "attaining_nonlocal_vertex",
+              "best_argument_with_pn", "best_satisfied_argument", "build_argument", "compute_pn",
+              "evaluate_pp", "format_event", "max_success_lhv", "max_success_ns", "ns_program",
+              "permutation_family_size", "ppc"],
     "cli": ["main"],
+}
+
+# the parameters of every public function and method (a public class's own
+# methods, its constructor included), annotations aside: a new parameter
+# must change this table
+PUBLIC_SIGNATURES = {
+    'boxes.ConstraintSystem.__init__': '(self, scenario, conditions)',
+    'boxes.ConstraintSystem.eq_rows': '(self)',
+    'boxes.ConstraintSystem.violations': '(self, box)',
+    'boxes.JointBox.__init__': '(self, scenario, table)',
+    'boxes.JointBox.block': '(self, x, y)',
+    'boxes.JointBox.from_function': '(cls, scenario, prob)',
+    'boxes.JointBox.prob': '(self, x, y, a, b)',
+    'boxes.LinearCondition.__init__': '(self, coeffs, rhs, relation, label)',
+    'boxes.LinearCondition.evaluate': '(self, box)',
+    'boxes.LinearCondition.holds': '(self, box)',
+    'boxes.Scenario.__init__': '(self, alice, bob)',
+    'boxes.Scenario.coord_index': '(self, x, y, a, b)',
+    'boxes.Scenario.coords': '(self)',
+    'boxes.Scenario.dims': '(self)',
+    'boxes.Scenario.from_dims': '(cls, dims)',
+    'boxes.Scenario.symmetric': '(cls, d)',
+    'boxes.ValidationReport.__init__': '(self, ok, violations)',
+    'boxes.box_from_json': '(text)',
+    'boxes.box_from_json_dict': '(data)',
+    'boxes.box_to_json': '(box)',
+    'boxes.box_to_json_dict': '(box)',
+    'boxes.build_normalization': '(scenario)',
+    'boxes.build_nosignaling': '(scenario)',
+    'boxes.build_positivity': '(scenario)',
+    'boxes.is_valid_box': '(box)',
+    'boxes.marginal': '(box, party, x, outcome)',
+    'boxes.polytope_dimension': '(scenario)',
+    'boxes.polytope_system': '(scenario)',
+    'boxes.uniform_box': '(scenario)',
+    'cli.main': '(argv=None)',
+    'hardy.ArgumentEvents.__init__': '(self, success, zeros, bounds)',
+    'hardy.ArgumentNotSatisfied.__init__':
+        '(self, message, condition=None, event=None, amount=None)',
+    'hardy.HardyArgument.__init__':
+        '(self, kind, scenario, relabeling=Relabeling(alice_input_swap=False, '
+        'bob_input_swap=False, alice_perms=None, bob_perms=None), '
+        'last_condition_bound=Fraction(0, 1))',
+    'hardy.OptimizationReport.__init__': '(self, argument, optimum, witness, regime)',
+    'hardy.PnResult.__init__': '(self, pn, family)',
+    'hardy.Relabeling.__init__':
+        '(self, alice_input_swap=False, bob_input_swap=False, alice_perms=None, bob_perms=None)',
+    'hardy.Relabeling.resolved': '(self, scenario)',
+    'hardy.argument_events': '(arg)',
+    'hardy.attaining_nonlocal_vertex': '(arg)',
+    'hardy.best_argument_with_pn': '(box, kind, p=Fraction(0, 1), exhaustive_perms=False)',
+    'hardy.best_satisfied_argument': '(box, kind, p=Fraction(0, 1), exhaustive_perms=False)',
+    'hardy.build_argument': '(kind, scenario, p=Fraction(0, 1), relabeling=None)',
+    'hardy.compute_pn': '(box, base, exhaustive_perms=False)',
+    'hardy.evaluate_pp': '(box, arg)',
+    'hardy.format_event': '(event)',
+    'hardy.max_success_lhv': '(arg)',
+    'hardy.max_success_ns': '(arg)',
+    'hardy.ns_program': '(arg)',
+    'hardy.permutation_family_size': '(n, exhaustive)',
+    'hardy.ppc': '(box, base, exhaustive_perms=False)',
+    'lp.LinearProgram.__init__':
+        '(self, num_vars, objective, eq_constraints=(), ineq_constraints=())',
+    'lp.LinearProgram.canonical': '(self)',
+    'lp.LinearProgram.to_json_dict': '(self)',
+    'lp.LpResult.__init__': '(self, status, value=None, solution=None)',
+    'lp.exact_rank': '(rows)',
+    'lp.solve_max': '(lp)',
+    'rationals.coerce_rational': '(value)',
+    'rationals.format_rational': '(value)',
+    'rationals.parse_rational': '(text)',
+    'vertices.convex_decomposition': '(box, candidates)',
+    'vertices.deterministic_box': '(scenario, alice_outputs, bob_outputs)',
+    'vertices.deterministic_strategies': '(scenario)',
+    'vertices.embed': '(box, target)',
+    'vertices.enumerate_vertices': "(scenario, kind='all')",
+    'vertices.is_local': '(box)',
+    'vertices.local_vertex': '(scenario, label)',
+    'vertices.nonlocal_vertex': '(scenario, label)',
 }
 
 
@@ -657,3 +759,23 @@ def test_public_api_census():
     modules = [info.name for info in pkgutil.iter_modules(nsbox.__path__)]
     assert {name: sorted(importlib.import_module(f"nsbox.{name}").__all__)
             for name in modules} == MODULE_ALL
+
+    def bare(fn):
+        sig = inspect.signature(fn)
+        return str(sig.replace(parameters=[p.replace(annotation=p.empty) for p in sig.parameters.values()],
+                               return_annotation=sig.empty))
+
+    signatures = {}
+    for name in modules:
+        module = importlib.import_module(f"nsbox.{name}")
+        for public in module.__all__:
+            value = getattr(module, public)
+            if not inspect.isclass(value):
+                if callable(value):
+                    signatures[f"{name}.{public}"] = bare(value)
+                continue
+            for attr, member in vars(value).items():
+                member = getattr(member, "__func__", member)  # a classmethod's or staticmethod's function
+                if inspect.isfunction(member) and (attr == "__init__" or not attr.startswith("_")):
+                    signatures[f"{name}.{public}.{attr}"] = bare(member)
+    assert signatures == PUBLIC_SIGNATURES

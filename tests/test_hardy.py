@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsbox import (
+    HARDY_QUANTUM_OPTIMUM,
     MAX_LHV_STRATEGIES,
     MAX_PERMUTATION_FAMILY,
     ArgumentNotSatisfied,
@@ -47,12 +48,10 @@ from nsbox import (
     max_success_lhv,
     max_success_ns,
     nonlocal_vertex,
-    nonlocal_entry_fn,
     ns_program,
     permutation_family_size,
     polytope_system,
     ppc,
-    quantum_reference,
     uniform_box,
 )
 from nsbox import hardy
@@ -135,6 +134,8 @@ def test_argument_validation():
     # the relabeling is checked when the event sets are built
     with pytest.raises(ValueError):
         build_argument("relaxed", s, relabeling=Relabeling(alice_perms=((0, 0), (0, 1))))
+    with pytest.raises(ValueError, match="bob needs one outcome permutation per input"):
+        build_argument("relaxed", s, relabeling=Relabeling(bob_perms=((1, 0),)))
     # a rational string is stored as the Fraction it names
     bound = HardyArgument("relaxed", s, Relabeling(), "1/3").last_condition_bound
     assert type(bound) is Fraction and bound == F(1, 3)
@@ -497,7 +498,7 @@ def per_label_scan(arg):
     satisfying = {}
     best = None
     for label in itertools.product(range(s.min_outputs), repeat=3):
-        entry = nonlocal_entry_fn(s, label)
+        entry = nonlocal_vertex(s, label).prob
         if hardy._violation(entry, events) is None:
             mass = hardy._mass(entry, events.success)
             satisfying[label] = mass
@@ -1079,24 +1080,14 @@ def test_witnesses_decompose_over_d2_vertices():
 
 
 def test_quantum_reference_constant():
-    ref = quantum_reference("conventional", 2)
-    assert ref is not None
-    assert abs(ref.value - 0.09016994374947425) < 1e-12
-    assert 0.0901 < ref.value < 0.0902
-    assert ref.note
+    assert abs(HARDY_QUANTUM_OPTIMUM - 0.09016994374947425) < 1e-12
+    assert 0.0901 < HARDY_QUANTUM_OPTIMUM < 0.0902
 
 
 def test_quantum_reference_is_exact_to_thirty_places():
     # (5*sqrt(5) - 11)/2 floored at 30 places: v is in [q - 10**-30, q], so
     # 2v + 11 brackets 5*sqrt(5), whose square is 125
-    v = quantum_reference("conventional", 2).value
+    v = HARDY_QUANTUM_OPTIMUM
     assert type(v) is Fraction
     assert (10**30 * v).denominator == 1
     assert (2 * v + 11) ** 2 <= 125 < (2 * (v + F(1, 10**30)) + 11) ** 2
-
-
-def test_quantum_reference_dimension_independent():
-    assert quantum_reference("conventional", 3).value == quantum_reference("conventional", 2).value
-    assert quantum_reference("relaxed", 2).value == quantum_reference("conventional", 2).value
-    assert quantum_reference("relaxed", 3) is None
-    assert quantum_reference("relaxed", 6) is None

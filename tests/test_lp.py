@@ -46,6 +46,7 @@ from nsbox import (
     uniform_box,
     exact_rank,
     coerce_rational,
+    parse_rational,
     solve_max,
 )
 from nsbox import lp as lp_module
@@ -171,6 +172,12 @@ def test_shape_validation():
                 solve_max(lp)
             with pytest.raises(LpValidationError):
                 lp.canonical()
+    # each constraint is a (row, rhs) pair
+    for pair in (((0, 1),), (((0, 1),), 1, 2), 5):
+        for lp, kind in ((LinearProgram(2, [1, 0], [pair], []), "eq"),
+                         (LinearProgram(2, [1, 0], [], [pair]), "ineq")):
+            with pytest.raises(LpValidationError, match=rf"^{kind} constraint must be a \(row, rhs\) pair"):
+                solve_max(lp)
     # x >= 0 is the only shape, so there is no nonneg switch to turn off
     with pytest.raises(TypeError):
         LinearProgram(1, [1], nonneg=False)
@@ -216,6 +223,9 @@ def test_coerce_rational_returns_a_fraction_as_it_is():
         coerce_rational(0.5)
     with pytest.raises(ValueError, match="not a rational"):
         coerce_rational(object())
+    # parse_rational reads text only, so an int is refused, not coerced
+    with pytest.raises(ValueError, match="^expected a rational string, got 3$"):
+        parse_rational(3)
 
 
 def test_optimality_certificate_helper():

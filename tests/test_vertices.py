@@ -23,7 +23,6 @@ from nsbox import (
     is_valid_box,
     local_vertex,
     marginal,
-    nonlocal_entry_fn,
     nonlocal_vertex,
     polytope_dimension,
     uniform_box,
@@ -93,6 +92,21 @@ def test_label_validation():
         nonlocal_vertex(asym, (2, 0, 0))  # range is min over the four inputs
 
 
+def test_deterministic_box_checks_each_answer():
+    s = Scenario.symmetric(2)
+    bad = {
+        (0.5, 0): "^alice answer for input 0 must be an integer in 0..1, got 0.5$",
+        (True, 0): "^alice answer for input 0 must be an integer in 0..1, got True$",
+        (0,): r"^alice needs one answer per input, got \(0,\)$",
+    }
+    for answers, message in bad.items():
+        with pytest.raises(ValueError, match=message):
+            deterministic_box(s, answers, (0, 0))
+    with pytest.raises(ValueError, match="^bob answer for input 1 must be an integer in 0..2, got 3$"):
+        deterministic_box(Scenario.from_dims([2, 2, 2, 3]), (0, 1), (1, 3))
+    assert is_valid_box(deterministic_box(s, (1, 0), (0, 1))).ok
+
+
 def test_every_label_yields_a_valid_box():
     for d in (2, 3, 4, 5, 6):
         s = Scenario.symmetric(d)
@@ -121,6 +135,8 @@ def test_enumeration_counts_and_dedup():
     s3 = Scenario.symmetric(3)
     assert len(enumerate_vertices(s3, "local")) == 81
     assert len(enumerate_vertices(s3, "nonlocal")) == 27
+    with pytest.raises(ValueError, match="^kind must be 'local', 'nonlocal' or 'all', got 'bogus'$"):
+        enumerate_vertices(s3, "bogus")
 
     asym = enumerate_vertices(Scenario.from_dims([2, 3, 4, 3]), "all")  # d = 2
     assert len(asym) == len({box.table for _label, box in asym}) == 2 ** 4 + 2 ** 3
@@ -467,6 +483,7 @@ def test_nonlocal_d2_vertices_are_extremal():
         target = everything[k][1]
         others = [box for i, (_lab, box) in enumerate(everything) if i != k]
         assert convex_decomposition(target, others) is None
+    assert convex_decomposition(everything[16][1], []) is None  # no candidates, no mixture
 
 
 def test_convex_decomposition_positive_control():
@@ -521,8 +538,10 @@ def test_random_nonlocal_labels_are_valid_and_uniform(dims, seed):
     label = (seed % d, (seed // d) % d, (seed // (d * d)) % d)
     box = nonlocal_vertex(s, label)
     assert is_valid_box(box).ok
-    entry = nonlocal_entry_fn(s, label)
-    assert all(box.prob(x, y, a, b) == entry(x, y, a, b) for (x, y, a, b) in s.coords())
+    xc, yc, shift = label
+    for (x, y, a, b) in s.coords():  # the congruence class, cell by cell
+        hit = a < d and b < d and (b - a - x * y - xc * x - yc * y - shift) % d == 0
+        assert box.prob(x, y, a, b) == (F(1, d) if hit else 0)
     for a in range(d):
         assert marginal(box, "A", 0, a) == F(1, d)
     for a in range(d, s.alice[0]):
