@@ -106,12 +106,12 @@ class Scenario:
 
     def coord_index(self, x: int, y: int, a: int, b: int) -> int:
         """The bijection (x, y, a, b) -> flat index, lexicographic in (x, y, a, b)."""
-        if x not in (0, 1) or y not in (0, 1):
+        if type(x) is not int or type(y) is not int or x not in (0, 1) or y not in (0, 1):
             raise ValueError(f"inputs must be 0 or 1, got x={x!r}, y={y!r}")
-        if not isinstance(a, int) or not 0 <= a < self.alice[x]:
+        if type(a) is not int or not 0 <= a < self.alice[x]:
             raise ValueError(
                 f"outcome a={a!r} out of range for input x={x} ({self.alice[x]} outcomes, 0-based)")
-        if not isinstance(b, int) or not 0 <= b < self.bob[y]:
+        if type(b) is not int or not 0 <= b < self.bob[y]:
             raise ValueError(
                 f"outcome b={b!r} out of range for input y={y} ({self.bob[y]} outcomes, 0-based)")
         return self._offsets[(x, y)] + a * self.bob[y] + b
@@ -157,7 +157,7 @@ class JointBox:
         slice of the table at the block's offset. The inputs are checked
         once, not per cell as prob does."""
         s = self.scenario
-        if x not in (0, 1) or y not in (0, 1):
+        if type(x) is not int or type(y) is not int or x not in (0, 1) or y not in (0, 1):
             raise ValueError(f"inputs must be 0 or 1, got x={x!r}, y={y!r}")
         start, nb = s._offsets[(x, y)], s.bob[y]
         return tuple(self.table[start + a * nb:start + (a + 1) * nb] for a in range(s.alice[x]))
@@ -331,10 +331,10 @@ def marginal(box: JointBox, party: str, x: int, outcome: int) -> Fraction:
     valid box it is the same on far input 1; is_valid_box checks that."""
     if party not in PARTIES:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    if x not in (0, 1):
+    if type(x) is not int or x not in (0, 1):
         raise ValueError(f"input must be 0 or 1, got {x!r}")
     n_own = (box.scenario.alice if party == "A" else box.scenario.bob)[x]
-    if not isinstance(outcome, int) or not 0 <= outcome < n_own:
+    if type(outcome) is not int or not 0 <= outcome < n_own:
         raise ValueError(
             f"outcome {outcome!r} out of range for party {party} input {x} ({n_own} outcomes, 0-based)")
     if party == "A":
@@ -393,7 +393,7 @@ def box_from_json_dict(data) -> JointBox:
         if missing:
             raise ValueError(f"box JSON: table entry {k} lacks keys {missing}")
         x, y, a, b = cell["x"], cell["y"], cell["a"], cell["b"]
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (x, y, a, b)):
+        if not all(type(v) is int for v in (x, y, a, b)):
             raise ValueError(f"box JSON: table entry {k} has non-integer coordinates")
         try:
             idx = scenario.coord_index(x, y, a - 1, b - 1)

@@ -31,7 +31,6 @@ from .hardy import (
     HardyArgument,
     KIND_CONVENTIONAL,
     KIND_RELAXED,
-    OptimizationReport,
     attaining_nonlocal_vertex,
     best_argument_with_pn,
     build_argument,
@@ -84,15 +83,6 @@ def _argument_json_dict(arg: HardyArgument) -> dict:
     }
 
 
-def _report_json_dict(report: OptimizationReport) -> dict:
-    return {
-        "argument": _argument_json_dict(report.argument),
-        "regime": report.regime,
-        "optimum": format_rational(report.optimum),
-        "witness": box_to_json_dict(report.witness),
-    }
-
-
 def _load_box(path: str) -> JointBox:
     with open(path, "r", encoding="utf-8") as fh:
         return box_from_json(fh.read())
@@ -108,7 +98,12 @@ def cmd_optimize(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(_report_json_dict(report), indent=2))
+    print(json.dumps({
+        "argument": _argument_json_dict(report.argument),
+        "regime": report.regime,
+        "optimum": format_rational(report.optimum),
+        "witness": box_to_json_dict(report.witness),
+    }, indent=2))
     return 0
 
 
@@ -279,8 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact no-signaling boxes and Hardy-type paradox optima.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_kind(p, choices=(KIND_CONVENTIONAL, KIND_RELAXED)):
-        p.add_argument("--kind", required=True, choices=list(choices))
+    def add_kind(p):
+        p.add_argument("--kind", required=True, choices=[KIND_CONVENTIONAL, KIND_RELAXED])
 
     def add_p(p):
         p.add_argument("--p", type=_p_flag, default=Fraction(0),

@@ -144,7 +144,7 @@ class Relabeling:
         if len(perms) != 2:
             raise ValueError(f"{who} needs one outcome permutation per input, got {perms!r}")
         for x, (perm, n) in enumerate(zip(perms, counts)):
-            if sorted(perm) != list(range(n)):
+            if any(type(v) is not int for v in perm) or sorted(perm) != list(range(n)):
                 raise ValueError(
                     f"{who} permutation for input {x} is not a bijection on 0..{n - 1}: {perm!r}")
         return perms

@@ -140,32 +140,27 @@ def deterministic_box(scenario: Scenario, alice_outputs, bob_outputs) -> JointBo
     return JointBox.from_function(scenario, prob)
 
 
-def _mixture_lp(columns: Sequence[Sequence[tuple[int, int | Fraction]]], target: JointBox) -> LinearProgram:
-    """Feasibility program: convex weights over columns, each a candidate's
-    nonzero (coordinate index, probability) pairs, reproducing target."""
-    n = len(columns)
-    rows: list[list[tuple[int, int | Fraction]]] = [[] for _ in target.table]
-    for k, column in enumerate(columns):
-        for i, v in column:
-            rows[i].append((k, v))
-    eq = list(zip(rows, target.table)) + [([(k, 1) for k in range(n)], 1)]
-    return LinearProgram(n, [_ZERO] * n, eq, [])
-
-
 def convex_decomposition(box: JointBox, candidates: Sequence[JointBox]) -> Optional[tuple[Fraction, ...]]:
     """Exact convex weights over candidates reproducing box, or None.
 
-    The weights come from a basic feasible solution, so at most
-    num_coords + 1 of them are nonzero.
+    The feasibility program has one column per candidate (its nonzero
+    probabilities) and one row per coordinate plus the weights' sum. The
+    weights come from a basic feasible solution, so at most num_coords + 1
+    of them are nonzero.
     """
     candidates = list(candidates)
     if not candidates:
         return None
-    for cand in candidates:
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in box.table]
+    for k, cand in enumerate(candidates):
         if cand.scenario != box.scenario:
             raise ValueError("decomposition candidates must share the box's scenario")
-    columns = [[(i, v) for i, v in enumerate(cand.table) if v] for cand in candidates]
-    return solve_max(_mixture_lp(columns, box)).solution  # None unless OPTIMAL
+        for i, v in enumerate(cand.table):
+            if v:
+                rows[i].append((k, v))
+    n = len(candidates)
+    eq = list(zip(rows, box.table)) + [([(k, 1) for k in range(n)], 1)]
+    return solve_max(LinearProgram(n, [_ZERO] * n, eq, [])).solution  # None unless OPTIMAL
 
 
 def is_local(box: JointBox) -> bool:

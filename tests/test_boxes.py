@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsbox import (
+    INPUT_PAIRS,
     JointBox,
     Scenario,
     box_from_json,
@@ -26,7 +27,6 @@ from nsbox import (
     uniform_box,
 )
 from nsbox import boxes
-from nsbox.boxes import INPUT_PAIRS
 
 F = Fraction
 
@@ -62,6 +62,28 @@ def test_coord_index_is_lexicographic():
         s.coord_index(0, 0, 0, 2)  # block (0,0) has 2 Bob outcomes
     with pytest.raises(ValueError):
         s.coord_index(2, 0, 0, 0)
+
+
+BOOL_COORDINATES = {
+    "coord_index input": (lambda box: box.scenario.coord_index(True, 0, 0, 0),
+                          "^inputs must be 0 or 1, got x=True, y=0$"),
+    "coord_index outcome": (lambda box: box.scenario.coord_index(0, 0, 0, False),
+                            "^outcome b=False out of range"),
+    "prob outcome": (lambda box: box.prob(0, 0, True, 0), "^outcome a=True out of range"),
+    "block input": (lambda box: box.block(0, False), "^inputs must be 0 or 1, got x=0, y=False$"),
+    "marginal input": (lambda box: marginal(box, "A", True, 0), "^input must be 0 or 1, got True$"),
+    "marginal outcome": (lambda box: marginal(box, "B", 0, True),
+                         "^outcome True out of range for party B"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_COORDINATES))
+def test_bool_inputs_and_outcomes_are_refused(case):
+    # True == 1 and False == 0, but a bool is no coordinate: each entry
+    # point refuses it with its out-of-range message
+    call, message = BOOL_COORDINATES[case]
+    with pytest.raises(ValueError, match=message):
+        call(uniform_box(Scenario.symmetric(2)))
 
 
 def test_incomplete_table_rejected():

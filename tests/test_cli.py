@@ -1,6 +1,7 @@
 """End-to-end command-line tests (in-process, via main's argv parameter)."""
 
 import argparse
+import ast
 import hashlib
 import importlib
 import inspect
@@ -638,19 +639,19 @@ def test_option_census():
 # this table
 NSBOX_NAMES = [
     "ArgumentEvents", "ArgumentNotSatisfied", "ConstraintSystem", "HARDY_QUANTUM_OPTIMUM",
-    "HardyArgument", "JointBox", "KIND_CONVENTIONAL", "KIND_RELAXED", "LinearCondition",
-    "LinearProgram", "LocalLabel", "LpResult", "LpStatus", "LpValidationError",
+    "HardyArgument", "INPUT_PAIRS", "JointBox", "KIND_CONVENTIONAL", "KIND_RELAXED",
+    "LinearCondition", "LinearProgram", "LocalLabel", "LpResult", "LpStatus", "LpValidationError",
     "MAX_LHV_STRATEGIES", "MAX_PERMUTATION_FAMILY", "NonlocalLabel", "OptimizationReport",
-    "PnResult", "REGIME_LHV", "REGIME_NS", "Relabeling", "Scenario", "SearchBudgetExceeded",
-    "ValidationReport", "argument_events", "attaining_nonlocal_vertex", "best_argument_with_pn",
-    "best_satisfied_argument", "box_from_json", "box_from_json_dict", "box_to_json",
-    "box_to_json_dict", "build_argument", "build_normalization", "build_nosignaling",
-    "build_positivity", "coerce_rational", "compute_pn", "convex_decomposition",
-    "deterministic_box", "deterministic_strategies", "embed", "enumerate_vertices", "evaluate_pp",
-    "exact_rank", "format_event", "format_rational", "is_local", "is_valid_box", "local_vertex",
-    "marginal", "max_success_lhv", "max_success_ns", "nonlocal_vertex", "ns_program",
-    "parse_rational", "permutation_family_size", "polytope_dimension", "polytope_system", "ppc",
-    "solve_max", "uniform_box",
+    "PARTIES", "PnResult", "REGIME_LHV", "REGIME_NS", "Relabeling", "Scenario",
+    "SearchBudgetExceeded", "ValidationReport", "argument_events", "attaining_nonlocal_vertex",
+    "best_argument_with_pn", "best_satisfied_argument", "box_from_json", "box_from_json_dict",
+    "box_to_json", "box_to_json_dict", "build_argument", "build_normalization",
+    "build_nosignaling", "build_positivity", "coerce_rational", "compute_pn",
+    "convex_decomposition", "deterministic_box", "deterministic_strategies", "embed",
+    "enumerate_vertices", "evaluate_pp", "exact_rank", "format_event", "format_rational",
+    "is_local", "is_valid_box", "local_vertex", "marginal", "max_success_lhv", "max_success_ns",
+    "nonlocal_vertex", "ns_program", "parse_rational", "permutation_family_size",
+    "polytope_dimension", "polytope_system", "ppc", "solve_max", "uniform_box",
 ]
 MODULE_ALL = {
     "rationals": ["coerce_rational", "format_rational", "parse_rational"],
@@ -779,3 +780,25 @@ def test_public_api_census():
                 if inspect.isfunction(member) and (attr == "__init__" or not attr.startswith("_")):
                     signatures[f"{name}.{public}.{attr}"] = bare(member)
     assert signatures == PUBLIC_SIGNATURES
+
+
+# the package's public names are declared once, in the modules' __all__
+PACKAGE_MODULES = ["rationals", "lp", "boxes", "vertices", "hardy"]
+
+
+def test_package_init_only_gathers_the_modules():
+    docstring, *imports, version = ast.parse(Path(nsbox.__file__).read_text()).body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value.value, str)
+    assert [(node.level, node.module, [alias.name for alias in node.names])
+            for node in imports] == [(1, name, ["*"]) for name in PACKAGE_MODULES]
+    assert ast.unparse(version) == "__version__ = '0.1.0'"
+    # with the census above: the namespace is the union of the five __all__
+    assert NSBOX_NAMES == sorted(public for name in PACKAGE_MODULES for public in MODULE_ALL[name])
+
+
+def test_package_import_leaves_the_cli_out():
+    src = str(Path(nsbox.__file__).resolve().parents[1])
+    probe = "import sys, nsbox; print(nsbox.__file__, 'nsbox.cli' in sys.modules)"
+    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert fresh.stdout == f"{nsbox.__file__} False\n"

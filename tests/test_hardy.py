@@ -141,6 +141,18 @@ def test_argument_validation():
     assert type(bound) is Fraction and bound == F(1, 3)
 
 
+@pytest.mark.parametrize("perm", [(True, False), (1.0, 0)], ids=["bool", "float"])
+def test_relabeling_refuses_outcomes_that_are_not_ints(perm):
+    # the entries sort like 0..n-1, so only their type gives them away
+    s = Scenario.symmetric(2)
+    relabeling = Relabeling(alice_perms=(perm, (0, 1)))
+    message = r"^alice permutation for input 0 is not a bijection on 0..1: \("
+    with pytest.raises(ValueError, match=message):
+        relabeling.resolved(s)
+    with pytest.raises(ValueError, match=message):
+        build_argument("relaxed", s, relabeling=relabeling)
+
+
 def test_input_swap_moves_designated_pair():
     s = Scenario.from_dims([2, 3, 2, 2])
     arg, events = build_argument("relaxed", s,
@@ -225,6 +237,19 @@ def test_certified_ns_optimum_ignores_relabeling(data):
     arg, _ = build_argument(kind, Scenario.symmetric(d), p, relabeling)
     # the identity argument's certified optimum, as the test above shows
     assert certify_optimum(ns_program(arg)) == carried_optimum(kind, d, p)
+
+
+def test_certified_ns_optimum_ignores_the_party_swap():
+    # exchanging the parties maps dims (a0, a1, b0, b1) to (b0, b1, a0, a1);
+    # both sides of every such pair of outcome counts 2..4 are certified
+    for dims in itertools.product(range(2, 5), repeat=4):
+        swapped = dims[2:] + dims[:2]
+        if swapped <= dims:
+            continue
+        for kind in ("conventional", "relaxed"):
+            values = [certify_optimum(ns_program(build_argument(kind, Scenario.from_dims(side))[0]))
+                      for side in (dims, swapped)]
+            assert values == [carried_optimum(kind, min(dims), F(0))] * 2, (kind, dims)
 
 
 def test_relaxed_optimum_monotone_in_bound():
