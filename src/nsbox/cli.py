@@ -138,45 +138,21 @@ def _decimal(q: Fraction) -> str:
     return sign + f"{text[:e + 1]}.{text[e + 1:]}".rstrip("0").rstrip(".")
 
 
-def sweep_rows(d_min: int, d_max: int) -> list[dict]:
-    """One row per symmetric outcome count d: both arguments' no-signaling
-    optima by fresh LP solves, the attaining congruence vertex's PPC via the
-    relabeling search, and the quantum reference (d = 2 only)."""
-    rows = []
+def _sweep_csv(d_min: int, d_max: int) -> str:
+    """The sweep's CSV, one row per symmetric outcome count d: both
+    arguments' no-signaling optima by fresh LP solves, the attaining
+    congruence vertex's PPC via the relabeling search, each exact and then
+    in decimal, and the quantum reference (d = 2 only)."""
+    lines = ["d,q_H_gnst,q_RH_gnst,PPC_gnst,q_H_gnst_dec,q_RH_gnst_dec,PPC_gnst_dec,quantum_ref"]
     for d in range(d_min, d_max + 1):
         scenario = Scenario.symmetric(d)
-        conventional, _ = build_argument(KIND_CONVENTIONAL, scenario)
-        relaxed, _ = build_argument(KIND_RELAXED, scenario)
-        q_h = max_success_ns(conventional).optimum
-        q_rh = max_success_ns(relaxed).optimum
+        relaxed = HardyArgument(KIND_RELAXED, scenario)
+        values = [max_success_ns(HardyArgument(KIND_CONVENTIONAL, scenario)).optimum,
+                  max_success_ns(relaxed).optimum]
         _label, vertex_box, pp = attaining_nonlocal_vertex(relaxed)
-        pn = compute_pn(vertex_box, relaxed).pn
-        rows.append({
-            "d": d,
-            "q_H_gnst": q_h,
-            "q_RH_gnst": q_rh,
-            "PPC_gnst": pn - pp,
-            "quantum_ref": HARDY_QUANTUM_OPTIMUM if d == 2 else None,
-        })
-    return rows
-
-
-def render_sweep_csv(rows: list[dict]) -> str:
-    header = ("d,q_H_gnst,q_RH_gnst,PPC_gnst,"
-              "q_H_gnst_dec,q_RH_gnst_dec,PPC_gnst_dec,quantum_ref")
-    lines = [header]
-    for row in rows:
-        ref = "" if row["quantum_ref"] is None else _decimal(row["quantum_ref"])
-        lines.append(",".join([
-            str(row["d"]),
-            format_rational(row["q_H_gnst"]),
-            format_rational(row["q_RH_gnst"]),
-            format_rational(row["PPC_gnst"]),
-            _decimal(row["q_H_gnst"]),
-            _decimal(row["q_RH_gnst"]),
-            _decimal(row["PPC_gnst"]),
-            ref,
-        ]))
+        values.append(compute_pn(vertex_box, relaxed).pn - pp)
+        ref = _decimal(HARDY_QUANTUM_OPTIMUM) if d == 2 else ""
+        lines.append(",".join([str(d), *map(format_rational, values), *map(_decimal, values), ref]))
     return "\n".join(lines) + "\n"
 
 
@@ -187,7 +163,7 @@ def cmd_sweep(args) -> int:
             f"got d-min={args.d_min}, d-max={args.d_max}",
             file=sys.stderr)
         return 2
-    text = render_sweep_csv(sweep_rows(args.d_min, args.d_max))
+    text = _sweep_csv(args.d_min, args.d_max)
     if args.out == "-":
         sys.stdout.write(text)
         return 0

@@ -129,6 +129,13 @@ class Relabeling:
     alice_perms: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     bob_perms: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
+    def __post_init__(self):
+        """Refuse an input swap that is not a bool; the permutations are
+        checked when they are resolved."""
+        for name in ("alice_input_swap", "bob_input_swap"):
+            if type(getattr(self, name)) is not bool:
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+
     def resolved(self, scenario: Scenario):
         """Concrete (alice_perms, bob_perms), validated as bijections."""
         return (
@@ -595,10 +602,10 @@ def _success_candidates(box: JointBox, arg: HardyArgument, exhaustive: bool):
     """Deterministic list of (success cells, mass, chain) for the first
     satisfied permutation chain and every later one with positive success
     mass, over the outcome relabelings of arg on its input swaps; cells live
-    on the designated block, and a chain is the family indices (ia0, ib0,
-    ia1, ib1) of the logical inputs' permutations, which _chain_argument
-    turns into an argument. Refuses, before any search, a family larger than
-    MAX_PERMUTATION_FAMILY.
+    on the designated block, and a chain is the four permutations (pa0, pb0,
+    pa1, pb1) of Alice's and Bob's logical inputs 0 and 1, members of the
+    cached families, which _chain_argument turns into an argument. Refuses,
+    before any search, a family larger than MAX_PERMUTATION_FAMILY.
 
     Each condition couples one Alice and one Bob permutation, and _relation
     gives the pairs that keep it within its bound as bitset rows. A fourth
@@ -657,19 +664,17 @@ def _success_candidates(box: JointBox, arg: HardyArgument, exhaustive: bool):
             mass = masses.get(total)
             if mass is None:
                 mass = masses[total] = Fraction(total, scale)
-            out.append((cells, mass, (ia0, ib0, ia1, ib1)))
+            out.append((cells, mass, (pa0, pb0, fam_a[1][ia1], fam_b[1][ib1])))
     return out
 
 
-def _chain_argument(arg: HardyArgument, exhaustive: bool,
-                    chain: tuple[int, int, int, int]) -> HardyArgument:
-    """arg relabeled by a chain (ia0, ib0, ia1, ib1) that _success_candidates
-    found for arg with the same family kind: arg's input swaps, the chain's
-    outcome permutations."""
-    ax, by, counts = _roles(arg)
-    fa0, fa1, fb0, fb1 = (_perm_family(n, exhaustive) for n in counts)
-    ia0, ib0, ia1, ib1 = chain
-    pa, pb = (fa0[ia0], fa1[ia1]), (fb0[ib0], fb1[ib1])
+def _chain_argument(arg: HardyArgument, chain) -> HardyArgument:
+    """arg relabeled by a chain (pa0, pb0, pa1, pb1) that _success_candidates
+    found for arg: arg's input swaps, and the chain's permutations on the
+    physical inputs that play Alice's and Bob's logical inputs 0 and 1."""
+    ax, by, _counts = _roles(arg)
+    pa0, pb0, pa1, pb1 = chain
+    pa, pb = (pa0, pa1), (pb0, pb1)
     # a swap is its own inverse: physical input x plays logical input ax[x]
     rel = replace(arg.relabeling, alice_perms=(pa[ax[0]], pa[ax[1]]),
                   bob_perms=(pb[by[0]], pb[by[1]]))
@@ -728,15 +733,14 @@ def _best_of(box: JointBox, kind: str, p, exhaustive_perms: bool):
     if best is None:
         return None
     _cells, mass, chain = best
-    return _chain_argument(arg, exhaustive_perms, chain), mass, candidates
+    return _chain_argument(arg, chain), mass, candidates
 
 
-def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates,
-           exhaustive: bool) -> PnResult:
+def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates) -> PnResult:
     """PN of base, whose success mass is base_pp, from the search's
-    candidates on base's input roles and family kind. Only the packed
-    chains become arguments, and every family member is rechecked against
-    the box before it is returned."""
+    candidates on base's input roles. Only the packed chains become
+    arguments, and every family member is rechecked against the box before
+    it is returned."""
     base_cells = frozenset((a, b) for (_x, _y, a, b) in argument_events(base).success)
     entries = [(base_cells, base_pp, None)]  # chain None: the base itself
     seen = {base_cells}
@@ -758,7 +762,7 @@ def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates,
     family = []
     claimed: set = set()
     for cells, mass, chain in picked:
-        arg = base if chain is None else _chain_argument(base, exhaustive, chain)
+        arg = base if chain is None else _chain_argument(base, chain)
         events = argument_events(arg)
         if (_violation(entry, events) is not None
                 or _mass(entry, events.success) != mass or not claimed.isdisjoint(cells)):
@@ -785,7 +789,7 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     """
     base_pp = evaluate_pp(box, base)
     candidates = _success_candidates(box, base, exhaustive_perms)
-    return _pn_of(box, base, base_pp, candidates, exhaustive_perms)
+    return _pn_of(box, base, base_pp, candidates)
 
 
 def ppc(box: JointBox, base: HardyArgument, exhaustive_perms: bool = False) -> Fraction:
@@ -811,7 +815,7 @@ def best_argument_with_pn(box: JointBox, kind: str, p=_ZERO, exhaustive_perms: b
     if best is None:
         return None
     base, mass, candidates = best
-    return base, mass, _pn_of(box, base, mass, candidates, exhaustive_perms)
+    return base, mass, _pn_of(box, base, mass, candidates)
 
 
 def _congruence_masses(arg: HardyArgument):

@@ -135,11 +135,14 @@ class LinearProgram:
         objective, eq, ineq = self.canonical()
 
         def encode(rows):
-            return [
-                {"row": [format_rational(Fraction(c, scale)) for c in _dense(coeffs, self.num_vars)],
-                 "rhs": format_rational(Fraction(rhs, scale))}
-                for coeffs, rhs, scale in rows
-            ]
+            out = []
+            for coeffs, rhs, scale in rows:
+                row = [0] * self.num_vars
+                for j, c in coeffs:
+                    row[j] = c
+                out.append({"row": [format_rational(Fraction(c, scale)) for c in row],
+                            "rhs": format_rational(Fraction(rhs, scale))})
+            return out
 
         return {
             "num_vars": self.num_vars,
@@ -158,14 +161,6 @@ class LpResult:
     status: LpStatus
     value: Optional[Fraction] = None
     solution: Optional[tuple[Fraction, ...]] = None
-
-
-def _dense(coeffs, width: int) -> list[int]:
-    """A sparse int row expanded to its width, zeros included."""
-    row = [0] * width
-    for j, c in coeffs:
-        row[j] = c
-    return row
 
 
 def _integer_row(values) -> list[int]:
@@ -310,16 +305,12 @@ class _Simplex:
         # basic values are >= 0, so the artificials sum to 0 iff each is 0
         if any(self.rows[i][-1] for i, b in enumerate(self.basis) if b >= width):
             return False
-        self._drive_out_artificials()
-        return True
-
-    def _drive_out_artificials(self) -> None:
-        """Pivot zero-valued artificials out of the basis; redundant rows drop."""
+        # pivot the zero-valued artificials out of the basis; redundant rows drop
         drop = []
         for i in range(len(self.rows)):
-            if self.basis[i] >= self.width:
+            if self.basis[i] >= width:
                 row = self.rows[i]
-                col = next((j for j in range(self.width) if row[j] != 0), -1)
+                col = next((j for j in range(width) if row[j] != 0), -1)
                 if col < 0:
                     drop.append(i)
                 else:
@@ -327,6 +318,7 @@ class _Simplex:
         for i in reversed(drop):
             del self.rows[i]
             del self.basis[i]
+        return True
 
     def phase_two(self, objective: list[Fraction]) -> bool:
         obj = _integer_row(objective) + [0] * (self.width - self.n + 1)

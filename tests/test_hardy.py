@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -151,6 +152,15 @@ def test_relabeling_refuses_outcomes_that_are_not_ints(perm):
         relabeling.resolved(s)
     with pytest.raises(ValueError, match=message):
         build_argument("relaxed", s, relabeling=relabeling)
+
+
+@pytest.mark.parametrize("swap", ["no", 0, 1, None])
+def test_relabeling_refuses_input_swaps_that_are_not_bools(swap):
+    # read by truthiness "no" would swap and 0 would not, and the JSON
+    # writers would print either as given
+    for field in ("alice_input_swap", "bob_input_swap"):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a bool, got {swap!r}")):
+            Relabeling(**{field: swap})
 
 
 def test_input_swap_moves_designated_pair():
@@ -902,7 +912,7 @@ def assert_search_matches_full_enumeration(monkeypatch, box, kind, p, swaps, exh
         candidates = hardy._success_candidates(box, arg, exhaustive)
         if not candidates:
             return candidates, None
-        base = hardy._chain_argument(arg, exhaustive, candidates[0][2])
+        base = hardy._chain_argument(arg, candidates[0][2])
         return candidates, compute_pn(box, base, exhaustive)
 
     fast = search()
@@ -943,10 +953,11 @@ def test_search_matches_full_enumeration_d5(monkeypatch):
 
 
 def reference_candidates(box, kind, p, swaps, exhaustive):
-    """Reference for _success_candidates: the chains (ia0, ib0, ia1, ib1)
-    over the full-enumeration relations, each (ia0, ib0) pair in ascending
-    order with its smallest ib1 and then its smallest ia1; the first pair is
-    kept at any success mass, later ones only at positive mass."""
+    """Reference for _success_candidates: the chains over the
+    full-enumeration relations, each family index pair (ia0, ib0) in
+    ascending order with its smallest ib1 and then its smallest ia1, given
+    as the permutations (pa0, pb0, pa1, pb1) at those indices; the first
+    pair is kept at any success mass, later ones only at positive mass."""
     ax, by, counts = hardy._roles(HardyArgument(kind, box.scenario, Relabeling(*swaps)))
     t_success, conditions = hardy._template(kind, p, *counts)
     fa0, fa1, fb0, fb1 = (hardy._perm_family(n, exhaustive) for n in counts)
@@ -973,7 +984,8 @@ def reference_candidates(box, kind, p, swaps, exhaustive):
         cells = frozenset((fa0[ia0][r], fb0[ib0][t]) for r, t in t_success)
         mass = sum((box.prob(ax[0], by[0], a, b) for a, b in cells), F(0))
         if mass > 0 or not out:
-            out.append((cells, mass, (ia0, ib0, smallest_a1[(ib0, b1s[0])], b1s[0])))
+            ia1, ib1 = smallest_a1[(ib0, b1s[0])], b1s[0]
+            out.append((cells, mass, (fa0[ia0], fb0[ib0], fa1[ia1], fb1[ib1])))
     return out
 
 
@@ -981,15 +993,22 @@ def reference_candidates(box, kind, p, swaps, exhaustive):
                                   (4, 4, 4, 4)])
 def test_chain_join_matches_reference_join(dims):
     # pins the witness each kept chain carries, which names the relabelings
-    # that pn prints
+    # that pn prints, and that each chain rebuilds the argument whose success
+    # cells and mass it carries
     for box in differential_boxes(dims):
         for kind, p in ARGUMENT_CASES:
             for swaps in SWAPS:
                 for exhaustive in (False, True):
                     arg = HardyArgument(kind, box.scenario, Relabeling(*swaps), p)
-                    assert (hardy._success_candidates(box, arg, exhaustive)
-                            == reference_candidates(box, kind, p, swaps, exhaustive)), (
-                        dims, kind, p, swaps, exhaustive)
+                    candidates = hardy._success_candidates(box, arg, exhaustive)
+                    case = (dims, kind, p, swaps, exhaustive)
+                    assert candidates == reference_candidates(box, kind, p, swaps, exhaustive), case
+                    ax, by, _counts = hardy._roles(arg)
+                    for cells, mass, chain in candidates:
+                        rebuilt = hardy._chain_argument(arg, chain)
+                        success = argument_events(rebuilt).success
+                        assert success == {(ax[0], by[0], a, b) for a, b in cells}, case
+                        assert evaluate_pp(box, rebuilt) == mass, case
 
 
 @settings(max_examples=30, deadline=None)

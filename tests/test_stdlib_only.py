@@ -1,10 +1,12 @@
 """The package imports nothing outside the Python standard library."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nsbox"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nsbox"
 
 
 def test_absolute_imports_are_stdlib_only():
@@ -21,6 +23,19 @@ def test_absolute_imports_are_stdlib_only():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # the tests run on a later Python than the floor pyproject.toml declares,
+    # so parse with the floor's grammar to catch newer syntax
+    declared = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                         (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    floor = tuple(int(v) for v in declared.groups())
+    assert floor == (3, 10)
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
 
 
 def test_no_float_code_path():
