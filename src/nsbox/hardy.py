@@ -169,10 +169,14 @@ class HardyArgument:
     last_condition_bound: Fraction = _ZERO
 
     def __post_init__(self):
-        """Check the kind and the bound, stored as a Fraction. The
-        relabeling is checked when the event sets are built."""
+        """Check the kind, the field types and the bound, stored as a
+        Fraction. The relabeling's permutations are checked when the event
+        sets are built."""
         if self.kind not in (KIND_CONVENTIONAL, KIND_RELAXED):
             raise ValueError(f"kind must be '{KIND_CONVENTIONAL}' or '{KIND_RELAXED}', got {self.kind!r}")
+        for name, cls in (("scenario", Scenario), ("relabeling", Relabeling)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         p = coerce_rational(self.last_condition_bound)
         if p < 0 or p >= 1:
             raise ValueError(f"last-condition bound must satisfy 0 <= p < 1, got {p}")

@@ -1,14 +1,14 @@
 """Exact linear programming over the rationals.
 
-An exact presolve (variables forced to zero, empty and duplicate rows
-dropped) followed by a two-phase primal simplex on a tableau of int rows
-with no artificial columns. Each pivot touches only the columns where the
-pivot row is nonzero. Bland's pivoting rule is used in both phases, so
-degenerate programs terminate without cycling. There is no floating-point
-code path: coefficients are validated to be exact (ints, Fractions, or
-rational strings) and every result is an exact ``fractions.Fraction``.
-Optimal solutions are basic feasible solutions, i.e. vertices of the
-feasible region.
+An exact presolve (variables forced to zero, empty rows dropped) followed
+by a two-phase primal simplex on a tableau of int rows with no artificial
+columns, whose phase one drops redundant equality rows. Each pivot touches
+only the columns where the pivot row is nonzero. Bland's pivoting rule is
+used in both phases, so degenerate programs terminate without cycling.
+There is no floating-point code path: coefficients are validated to be
+exact (ints, Fractions, or rational strings) and every result is an exact
+``fractions.Fraction``. Optimal solutions are basic feasible solutions,
+i.e. vertices of the feasible region.
 
 Programs have the fixed shape
 
@@ -352,9 +352,9 @@ def _presolve(num_vars: int, eq, ineq):
       fixpoint.
     - Rows left empty are dropped; an empty equality with rhs != 0 or an empty
       <= row with rhs < 0 is infeasible.
-    - An equality that repeats or negates an earlier one is dropped. A row
-      and its scale, divided by their gcd, are one rational row's unique
-      int form, so equal keys mean equal rational rows, never multiples.
+
+    A redundant equality, such as a repeat of another, is left to phase one,
+    which drops each row its artificial leaves with no nonzero column.
     """
     forced = [False] * num_vars
     changed = True
@@ -372,27 +372,15 @@ def _presolve(num_vars: int, eq, ineq):
     column = {j: k for k, j in enumerate(keep)}
 
     def restrict(nonzero, rhs, scale) -> tuple:
-        pairs = tuple((column[j], c) for j, c in nonzero if not forced[j])
-        if scale > 1 and len(pairs) < len(nonzero):
-            # a dropped coefficient may have carried a factor of the scale
-            g = gcd(rhs, scale, *(c for _, c in pairs))
-            if g > 1:
-                return tuple((k, c // g) for k, c in pairs), rhs // g, scale // g
-        return pairs, rhs, scale
+        return tuple((column[j], c) for j, c in nonzero if not forced[j]), rhs, scale
 
     reduced_eq = []
-    seen = set()
     for row in eq:
-        pairs, rhs, scale = row = restrict(*row)
-        if not pairs:
-            if rhs:
-                return None
-            continue
-        # one key for a row and its negation
-        key = row if pairs[0][1] > 0 else (tuple((k, -c) for k, c in pairs), -rhs, scale)
-        if key not in seen:
-            seen.add(key)
+        pairs, rhs, _ = row = restrict(*row)
+        if pairs:
             reduced_eq.append(row)
+        elif rhs:
+            return None
     reduced_ineq = []
     for row in ineq:
         pairs, rhs, _ = row = restrict(*row)

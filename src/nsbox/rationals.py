@@ -18,12 +18,13 @@ def coerce_rational(value) -> Fraction:
     """Coerce an int, Fraction, or rational string to an exact Fraction.
 
     A Fraction comes back as the same object. Floats are rejected rather than
-    converted: a float already carries the rounding it picked up upstream.
+    converted: a float already carries the rounding it picked up upstream. So
+    are bools, which are ints to Python but flags to a caller.
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise ValueError(f"float value {value!r} rejected: exact rationals only")
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{type(value).__name__} value {value!r} rejected: exact rationals only")
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

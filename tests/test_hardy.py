@@ -12,6 +12,7 @@ Frozen expectations used as oracles here:
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -44,6 +45,7 @@ from nsbox import (
     deterministic_strategies,
     enumerate_vertices,
     evaluate_pp,
+    format_rational,
     is_valid_box,
     local_vertex,
     max_success_lhv,
@@ -53,6 +55,7 @@ from nsbox import (
     permutation_family_size,
     polytope_system,
     ppc,
+    solve_max,
     uniform_box,
 )
 from nsbox import hardy
@@ -140,6 +143,18 @@ def test_argument_validation():
     # a rational string is stored as the Fraction it names
     bound = HardyArgument("relaxed", s, Relabeling(), "1/3").last_condition_bound
     assert type(bound) is Fraction and bound == F(1, 3)
+
+
+def test_argument_refuses_fields_of_the_wrong_type():
+    # each would otherwise fail later, with an AttributeError in
+    # argument_events or ns_program
+    s = Scenario.symmetric(3)
+    with pytest.raises(ValueError, match=r"^scenario must be a Scenario, got \(3, 3, 3, 3\)$"):
+        HardyArgument("relaxed", (3, 3, 3, 3))
+    with pytest.raises(ValueError, match="^relabeling must be a Relabeling, got None$"):
+        HardyArgument("relaxed", s, None)
+    with pytest.raises(ValueError, match=r"^relabeling must be a Relabeling, got \(\(0, 1, 2\),\)$"):
+        HardyArgument("conventional", s, ((0, 1, 2),))
 
 
 @pytest.mark.parametrize("perm", [(True, False), (1.0, 0)], ids=["bool", "float"])
@@ -295,6 +310,15 @@ def presolved(lp: LinearProgram):
     return _presolve(lp.num_vars, *lp.canonical()[1:])
 
 
+def proportional_key(pairs, rhs) -> tuple:
+    """One key for an int row and every nonzero multiple of it: the row
+    divided by the gcd of its entries, its first coefficient made positive."""
+    g = math.gcd(rhs, *(c for _, c in pairs))
+    if pairs[0][1] < 0:
+        g = -g
+    return tuple((j, c // g) for j, c in pairs), rhs // g
+
+
 def json_sha256(lp: LinearProgram) -> str:
     text = json.dumps(lp.to_json_dict(), sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -305,7 +329,7 @@ def json_sha256(lp: LinearProgram) -> str:
 # pivot path. The digests below were recorded while the no-signaling catalog
 # stated every equality twice (a row, then its negation). Today's one-row
 # program must hash to ONE_ROW_DIGEST, and with_negated_nosignaling_rows must
-# rebuild the recorded program from it, which presolves to the same program.
+# rebuild the recorded program from it, which solves to the same result.
 GOLDEN_NS_PROGRAM = [
     ("conventional", (2, 2, 2, 2), "747a221b4d36e92031806daf45a958f87ec2ed844a0e12f61378ef81b059a7e1"),
     ("conventional", (3, 3, 3, 3), "278f896b243e699c3888defed1664adbabc9c8840bde6a75d17f082ddcde28a6"),
@@ -331,7 +355,7 @@ def test_ns_program_is_byte_identical_to_golden(kind, dims, digest):
     assert json_sha256(lp) == ONE_ROW_DIGEST[kind, dims]
     doubled = with_negated_nosignaling_rows(lp, s)
     assert json_sha256(doubled) == digest
-    assert presolved(doubled) == presolved(lp)
+    assert solve_max(doubled) == solve_max(lp)
 
 
 NS_PROGRAM_DIMS = sorted({(d,) * 4 for d in range(2, 7)} | set(itertools.product((2, 3), repeat=4)))
@@ -344,14 +368,17 @@ def test_ns_program_has_no_repeated_or_negated_equality_row(dims):
     assert len(build_nosignaling(s).conditions) == sum(s.dims())  # one per (party, input, outcome)
     for kind, p in NS_PROGRAM_KINDS:
         lp = ns_program(build_argument(kind, s, p)[0])
+        # no equality row is a multiple of another, negative or positive
+        keys = [proportional_key(pairs, rhs) for pairs, rhs, _ in lp.canonical()[1]]
+        assert len(set(keys)) == len(keys)
         keep, eq, ineq = presolved(lp)
         # the presolve drops only the rows that forced zeros leave empty
         live = set(keep)
         assert len(eq) == sum(any(j in live for j, _ in pairs) for pairs, _, _ in lp.canonical()[1])
-        # and the negations it dropped from the doubled catalog change nothing
+        # and the negations of the doubled catalog change no result
         doubled = with_negated_nosignaling_rows(lp, s)
         assert len(doubled.eq_constraints) == len(lp.eq_constraints) + sum(s.dims())
-        assert presolved(doubled) == (keep, eq, ineq)
+        assert solve_max(doubled) == solve_max(lp)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,6 +1128,13 @@ def test_best_satisfied_argument_none_for_uniform():
 # witnesses decompose over the d = 2 vertex list
 
 
+# sha256 of the exact weights below, as "num/den" strings joined by commas
+GOLDEN_D2_DECOMPOSITION = {
+    "conventional": "07fccd84fa39d78cff91c9aaccaf5e672f78ca9ab2965afae012bcdf2d5ba716",
+    "relaxed": "b461a9a5f6d7a11942465911fb6c04256332f5e6ab95b806eb92b521f5bb5e5f",
+}
+
+
 def test_witnesses_decompose_over_d2_vertices():
     s = Scenario.symmetric(2)
     vertex_boxes = [box for _lab, box in enumerate_vertices(s, "all")]
@@ -1110,6 +1144,8 @@ def test_witnesses_decompose_over_d2_vertices():
         witness = max_success_ns(arg).witness
         weights = convex_decomposition(witness, vertex_boxes)
         assert weights is not None
+        text = ",".join(format_rational(w) for w in weights)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_D2_DECOMPOSITION[kind]
         assert sum(weights) == 1
         rebuilt = [F(0)] * s.num_coords
         for w, box in zip(weights, vertex_boxes):

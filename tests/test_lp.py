@@ -27,9 +27,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nsbox import (
+    HardyArgument,
     JointBox,
     LinearProgram,
     LpResult,
@@ -188,7 +189,7 @@ def test_canonical_drops_zeros_and_scales_rows_to_ints():
     lp = LinearProgram(
         3, [1, 0, 0],
         [((one, (1, 0), two), 1), (((0, F(1)), (1, 0), (2, F(1, 2))), 1)],
-        [(((1, F(0)), (2, "3")), 2), (((0, F(2, 3)), (1, True), (2, "-1/4")), F(5, 6))])
+        [(((1, F(0)), (2, "3")), 2), (((0, F(2, 3)), (1, 1), (2, "-1/4")), F(5, 6))])
     _, eq, ineq = lp.canonical()
     # (pairs, rhs, scale): the rational row is pairs / scale, rhs / scale,
     # and scale is the lcm of the row's denominators
@@ -226,6 +227,25 @@ def test_coerce_rational_returns_a_fraction_as_it_is():
     # parse_rational reads text only, so an int is refused, not coerced
     with pytest.raises(ValueError, match="^expected a rational string, got 3$"):
         parse_rational(3)
+
+
+def test_bools_are_not_rationals():
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=rf"^bool value {flag} rejected: exact rationals only$"):
+            coerce_rational(flag)
+    # so no table, coefficient or bound takes one as 0 or 1
+    s = Scenario.symmetric(2)
+    table = uniform_box(s).table
+    with pytest.raises(ValueError, match="^bool value True rejected"):
+        JointBox(s, (True, False) + table[2:])
+    # an int subclass, but not a coefficient, objective entry or rhs
+    for lp in (LinearProgram(1, [True], [([(0, 1)], 1)], []),
+               LinearProgram(1, [1], [([(0, True)], 1)], []),
+               LinearProgram(1, [1], [], [([(0, 1)], False)])):
+        with pytest.raises(LpValidationError, match="^bool value (True|False) rejected"):
+            solve_max(lp)
+    with pytest.raises(ValueError, match="^bool value False rejected"):
+        HardyArgument("relaxed", s, last_condition_bound=False)
 
 
 def test_optimality_certificate_helper():
@@ -276,32 +296,44 @@ def test_presolve_empty_rows_decide_infeasibility():
     assert res.status is LpStatus.OPTIMAL and res.value == 1
 
 
-def test_presolve_drops_repeated_and_negated_equalities():
+def kept_rows(lp):
+    """The equality rows lp's presolve keeps, and the tableau's rows after
+    phase one."""
+    keep, eq, ineq = _presolve(lp.num_vars, *lp.canonical()[1:])
+    tab = lp_module._Simplex(len(keep), eq, ineq)
+    assert tab.phase_one()
+    return eq, tab.rows
+
+
+def test_presolve_keeps_repeated_and_negated_equalities():
+    # the presolve passes a repeat or a negation on; phase one drops it
     eq = [([F(1), F(-1)], F(1)), ([F(-1), F(1)], F(-1)), ([F(1), F(-1)], F(1)),
           ([F(1), F(1)], F(3))]
     lp = program(2, [0, 1], eq, [])
-    keep, red_eq, _ = _presolve(2, *lp.canonical()[1:])
-    assert keep == [0, 1]
-    assert red_eq == [(((0, 1), (1, -1)), 1, 1), (((0, 1), (1, 1)), 3, 1)]
+    red_eq, rows = kept_rows(lp)
+    assert [(list(pairs), rhs, scale) for pairs, rhs, scale in red_eq] == lp.canonical()[1]
+    assert len(rows) == 2
     res = solve_max(lp)
     assert res.status is LpStatus.OPTIMAL and res.solution == (2, 1)
-    # other scalar multiples are distinct rows, however the ints compare
+    # other scalar multiples likewise
     doubled = [([1, 1], 1), ([2, 2], 2)]
     halved = [([F(1, 2), F(1, 2)], F(1, 2)), ([1, 1], 1)]
-    for eq, expected in ((doubled, [(((0, 1), (1, 1)), 1, 1), (((0, 2), (1, 2)), 2, 1)]),
-                         (halved, [(((0, 1), (1, 1)), 1, 2), (((0, 1), (1, 1)), 1, 1)])):
+    for eq in (doubled, halved):
         lp = program(2, [0, 1], eq, [])
-        assert _presolve(2, *lp.canonical()[1:]) == ([0, 1], expected, [])
+        red_eq, rows = kept_rows(lp)
+        assert len(red_eq) == 2 and len(rows) == 1
         res = solve_max(lp)
         assert res.status is LpStatus.OPTIMAL and res.value == 1
 
 
-def test_presolve_drops_rows_equal_after_restriction():
-    # x0 = 0 is forced, so (1/3) x0 + x1 = 1 and x1 = 1 are one row: the
-    # first is rescaled to its restricted denominators and the second dropped
+def test_presolve_keeps_rows_equal_after_restriction():
+    # x0 = 0 is forced, so (1/3) x0 + x1 = 1, x1 = 1 and -2 x1 = -2 are one
+    # row: the presolve restricts each and keeps all three, with their scales
     lp = program(2, [0, 1], [([1, 0], 0), ([F(1, 3), 1], 1), ([0, 1], 1), ([0, -2], -2)], [])
     assert lp.canonical()[1][1] == ([(0, 1), (1, 3)], 3, 3)
-    assert _presolve(2, *lp.canonical()[1:]) == ([1], [(((0, 1),), 1, 1), (((0, -2),), -2, 1)], [])
+    assert _presolve(2, *lp.canonical()[1:]) == \
+        ([1], [(((0, 3),), 3, 3), (((0, 1),), 1, 1), (((0, -2),), -2, 1)], [])
+    assert len(kept_rows(lp)[1]) == 1
     same_as_fraction_presolve(solve_max, lp)
 
 
@@ -416,7 +448,7 @@ def _program_strategy(draw):
     if draw(st.booleans()):  # one-signed rhs-0 row: the presolve forces zeros
         sign = draw(st.sampled_from([1, -1]))
         eq.append(([Fraction(sign * draw(st.integers(0, 2))) for _ in range(n)], Fraction(0)))
-    if eq and draw(st.booleans()):  # negated copy: the presolve drops it
+    if eq and draw(st.booleans()):  # negated copy: phase one drops it
         row, rhs = eq[draw(st.integers(0, len(eq) - 1))]
         eq.append(([-c for c in row], -rhs))
     for i in range(n):  # box bounds keep the region bounded and pointed
@@ -472,6 +504,23 @@ def test_random_programs_match_brute_force(data):
     assert (again.status, again.value, again.solution) == (res.status, res.value, res.solution)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_redundant_equalities_leave_the_optimum_unchanged(data):
+    # a copy, a negation and a positive multiple of equality rows: the
+    # tableau meets each, and phase one drops the redundant ones
+    n, objective, eq, ineq = _program_strategy(data.draw)
+    assume(eq)
+    factor = data.draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)))
+    redundant = []
+    for f in (1, -1, factor):
+        row, rhs = eq[data.draw(st.integers(0, len(eq) - 1))]
+        redundant.append(([f * c for c in row], f * rhs))
+    base = solve_max(program(n, objective, eq, ineq))
+    res = solve_max(program(n, objective, eq + redundant, ineq))
+    assert (res.status, res.value) == (base.status, base.value)
+
+
 # ---------------------------------------------------------------------------
 # differential tests: the integer presolve and tableau against Fraction ones
 
@@ -485,7 +534,7 @@ def rational_rows(rows):
 
 def fraction_presolve(num_vars: int, eq, ineq):
     """Reference: the presolve on rational rows that the int presolve
-    replaced, kept here verbatim."""
+    replaced."""
     forced = [False] * num_vars
     changed = True
     while changed:
@@ -505,18 +554,12 @@ def fraction_presolve(num_vars: int, eq, ineq):
         return tuple((column[j], c) for j, c in nonzero if not forced[j])
 
     reduced_eq = []
-    seen = set()
-    for nonzero, rhs in eq:
-        pairs = restrict(nonzero)
-        if not pairs:
-            if rhs:
-                return None
-            continue
-        # one key for a row and its negation
-        key = (pairs, rhs) if pairs[0][1] > 0 else (tuple((k, -c) for k, c in pairs), -rhs)
-        if key not in seen:
-            seen.add(key)
+    for coeffs, rhs in eq:
+        pairs = restrict(coeffs)
+        if pairs:
             reduced_eq.append((pairs, rhs))
+        elif rhs:
+            return None
     reduced_ineq = []
     for coeffs, rhs in ineq:
         pairs = restrict(coeffs)

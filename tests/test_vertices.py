@@ -12,7 +12,10 @@ from nsbox import (
     JointBox,
     LocalLabel,
     NonlocalLabel,
+    Relabeling,
     Scenario,
+    argument_events,
+    build_argument,
     convex_decomposition,
     deterministic_box,
     deterministic_strategies,
@@ -23,6 +26,7 @@ from nsbox import (
     is_valid_box,
     local_vertex,
     marginal,
+    max_success_lhv,
     nonlocal_vertex,
     polytope_dimension,
     uniform_box,
@@ -198,18 +202,61 @@ def test_uniform_box_is_local_at_five_outcomes():
     assert is_local(uniform_box(Scenario.symmetric(5))) is True
 
 
+def strategy_cells(s):
+    """The four (x, y, a, b) cells of each deterministic strategy, in
+    deterministic_strategies order: one column of a strategies program."""
+    return [[(x, y, fa[x], fb[y]) for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))]
+            for fa, fb in deterministic_strategies(s)]
+
+
 def full_mixture_program(box):
     """Reference: the mixture program over every deterministic strategy, in
     deterministic_strategies order, each a column of weight 1 on its four
     cells, whatever the box's zeros."""
     s = box.scenario
-    strategies = list(deterministic_strategies(s))
+    columns = strategy_cells(s)
     rows = [[] for _ in box.table]
-    for k, (fa, fb) in enumerate(strategies):
-        for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            rows[s.coord_index(x, y, fa[x], fb[y])].append((k, 1))
-    eq = list(zip(rows, box.table)) + [([(k, 1) for k in range(len(strategies))], 1)]
-    return LinearProgram(len(strategies), [0] * len(strategies), eq, [])
+    for k, cells in enumerate(columns):
+        for cell in cells:
+            rows[s.coord_index(*cell)].append((k, 1))
+    eq = list(zip(rows, box.table)) + [([(k, 1) for k in range(len(columns))], 1)]
+    return LinearProgram(len(columns), [0] * len(columns), eq, [])
+
+
+def local_success_program(arg):
+    """The local-realistic optimum of a p = 0 argument as a program: one
+    weight per deterministic strategy, the weights summing to 1, each zero
+    condition an equality row with rhs 0, maximizing the success mass."""
+    columns = strategy_cells(arg.scenario)
+    events = argument_events(arg)
+    objective = [sum(cell in events.success for cell in cells) for cells in columns]
+    # a condition's cells lie in one block, where a strategy has one cell
+    eq = [([(k, 1) for k, cells in enumerate(columns) if not zero.isdisjoint(cells)], 0)
+          for zero in events.zeros]
+    eq.append(([(k, 1) for k in range(len(columns))], 1))
+    return LinearProgram(len(columns), objective, eq, [])
+
+
+def seeded_relabeling(s, rng):
+    def perms(counts):
+        return tuple(tuple(rng.sample(range(n), n)) for n in counts)
+
+    return Relabeling(rng.random() < 0.5, rng.random() < 0.5, perms(s.alice), perms(s.bob))
+
+
+@pytest.mark.parametrize("dims", list(itertools.product((2, 3), repeat=4)),
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_local_program_agrees_with_lhv_enumeration(dims):
+    # every condition row is one-signed with rhs 0, so the presolve forces
+    # the strategies that touch a zero cell
+    s = Scenario.from_dims(dims)
+    rng = random.Random("x".join(map(str, dims)))
+    for kind in ("conventional", "relaxed"):
+        for relabeling in (Relabeling(), *(seeded_relabeling(s, rng) for _ in range(3))):
+            arg, _ = build_argument(kind, s, relabeling=relabeling)
+            res = solve_max(local_success_program(arg))
+            assert res.status is LpStatus.OPTIMAL
+            assert res.value == max_success_lhv(arg).optimum, (kind, relabeling)
 
 
 def locality_program(box):
