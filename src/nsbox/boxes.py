@@ -8,8 +8,9 @@ text, violation labels) uses 1-based outcomes and 0-based inputs.
 Coordinates are ordered lexicographically by (x, y, a, b). That single
 bijection fixes the variable order of every linear program built here and
 the serialization order of every table, so independently produced artifacts
-line up index-for-index. Each polytope condition is one labeled row, and
-validation reports a broken one once, under that label.
+line up index-for-index. Each polytope condition is one labeled row of
+polytope_system, the one statement of the polytope: the LP reads its
+equality rows, and validation reports a broken row once, under its label.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ class JointBox:
 
     @cached_property
     def _report(self) -> "ValidationReport":
-        return _validate(self)
+        violations = polytope_system(self.scenario).violations(self)
+        return ValidationReport(not violations, tuple(violations))
 
 
 def uniform_box(scenario: Scenario) -> JointBox:
@@ -186,18 +188,6 @@ class LinearCondition:
     relation: str  # "eq" or "le"
     label: str
 
-    def evaluate(self, box: JointBox) -> Fraction:
-        total = _ZERO
-        for i, c in self.coeffs:
-            p = box.table[i]
-            if p:
-                total += c * p
-        return total
-
-    def holds(self, box: JointBox) -> bool:
-        v = self.evaluate(box)
-        return v == self.rhs if self.relation == "eq" else v <= self.rhs
-
 
 @dataclass(frozen=True)
 class ConstraintSystem:
@@ -214,17 +204,21 @@ class ConstraintSystem:
         return [(c.coeffs, c.rhs) for c in self.conditions if c.relation == "eq"]
 
     def violations(self, box: JointBox) -> list[str]:
+        """The labels of the rows the box breaks, in catalog order. Each row
+        is evaluated exactly in ints: the table is scaled once by the lcm of
+        its denominators, and the row's total is compared with rhs * scale."""
         if box.scenario != self.scenario:
             raise ValueError("box and constraint system live on different scenarios")
-        return [c.label for c in self.conditions if not c.holds(box)]
-
-
-def _positivity_label(x: int, y: int, a: int, b: int) -> str:
-    return f"positivity: P(a={a + 1}, b={b + 1} | x={x}, y={y}) >= 0"
-
-
-def _normalization_label(x: int, y: int) -> str:
-    return f"normalization: block (x={x}, y={y}) sums to 1"
+        scale = math.lcm(*{p.denominator for p in box.table})
+        cells = [p.numerator * (scale // p.denominator) for p in box.table]
+        broken = []
+        for cond in self.conditions:
+            total = 0
+            for i, c in cond.coeffs:
+                total += c * cells[i]
+            if total != cond.rhs * scale if cond.relation == "eq" else total > cond.rhs * scale:
+                broken.append(cond.label)
+        return broken
 
 
 def _nosignaling_label(party: str, own: int, outcome: int) -> str:
@@ -235,7 +229,7 @@ def _nosignaling_label(party: str, own: int, outcome: int) -> str:
 def build_positivity(scenario: Scenario) -> ConstraintSystem:
     """One row -P(a, b | x, y) <= 0 per coordinate."""
     return ConstraintSystem(scenario, tuple(
-        LinearCondition(((i, -1),), 0, "le", _positivity_label(x, y, a, b))
+        LinearCondition(((i, -1),), 0, "le", f"positivity: P(a={a + 1}, b={b + 1} | x={x}, y={y}) >= 0")
         for i, (x, y, a, b) in enumerate(scenario.coords())))
 
 
@@ -245,7 +239,7 @@ def build_normalization(scenario: Scenario) -> ConstraintSystem:
     for x, y in INPUT_PAIRS:
         coeffs = tuple((scenario.coord_index(x, y, a, b), 1)
                        for a in range(scenario.alice[x]) for b in range(scenario.bob[y]))
-        conds.append(LinearCondition(coeffs, 1, "eq", _normalization_label(x, y)))
+        conds.append(LinearCondition(coeffs, 1, "eq", f"normalization: block (x={x}, y={y}) sums to 1"))
     return ConstraintSystem(scenario, tuple(conds))
 
 
@@ -274,11 +268,14 @@ def build_nosignaling(scenario: Scenario) -> ConstraintSystem:
 
 @cache
 def polytope_system(scenario: Scenario) -> ConstraintSystem:
-    """Normalization plus no-signaling (the equality part of the polytope).
+    """The no-signaling polytope, stated once: positivity, normalization and
+    no-signaling rows, in that order. ns_program reads its equality rows and
+    is_valid_box evaluates every row.
 
     Built once per scenario and cached: every caller shares the same
     immutable system (eq_rows still hands out a fresh list)."""
-    return ConstraintSystem(scenario, build_normalization(scenario).conditions
+    return ConstraintSystem(scenario, build_positivity(scenario).conditions
+                            + build_normalization(scenario).conditions
                             + build_nosignaling(scenario).conditions)
 
 
@@ -292,38 +289,14 @@ class ValidationReport:
 
 
 def is_valid_box(box: JointBox) -> ValidationReport:
-    """Exact membership check: positivity, normalization, no-signaling.
+    """Exact membership check: polytope_system(scenario).violations(box).
 
-    Violations carry the builders' labels, one per broken row, in the order
-    of a positivity scan in coordinate order followed by
-    polytope_system(scenario).violations(box).
-    A box is immutable, so it is checked once and the report is kept on it.
+    Violations carry the builders' labels, one per broken row, in catalog
+    order: positivity in coordinate order, normalization in INPUT_PAIRS
+    order, then Alice's and Bob's no-signaling rows. A box is immutable, so
+    it is checked once and the report is kept on it.
     """
     return box._report
-
-
-def _validate(box: JointBox) -> ValidationReport:
-    """is_valid_box's check. The table is scaled to ints by the lcm of its
-    denominators and each block's row and column sums are taken once; no
-    constraint row is built."""
-    s = box.scenario
-    scale = math.lcm(*{p.denominator for p in box.table})
-    cells = [p.numerator * (scale // p.denominator) for p in box.table]
-    violations = [_positivity_label(*c) for c, v in zip(s.coords(), cells) if v < 0]
-    margins = {}  # (party, own input, far input): the party's outcome sums on that block
-    for x, y in INPUT_PAIRS:
-        start, nb = s._offsets[(x, y)], s.bob[y]
-        block = cells[start:start + s.alice[x] * nb]
-        margins["A", x, y] = [sum(block[a * nb:(a + 1) * nb]) for a in range(s.alice[x])]
-        margins["B", y, x] = [sum(block[b::nb]) for b in range(nb)]
-        if sum(block) != scale:
-            violations.append(_normalization_label(x, y))
-    for party in PARTIES:
-        for own in (0, 1):
-            for outcome, (p0, p1) in enumerate(zip(margins[party, own, 0], margins[party, own, 1])):
-                if p0 != p1:
-                    violations.append(_nosignaling_label(party, own, outcome))
-    return ValidationReport(not violations, tuple(violations))
 
 
 def marginal(box: JointBox, party: str, x: int, outcome: int) -> Fraction:

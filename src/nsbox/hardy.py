@@ -130,11 +130,23 @@ class Relabeling:
     bob_perms: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     def __post_init__(self):
-        """Refuse an input swap that is not a bool; the permutations are
-        checked when they are resolved."""
+        """Refuse an input swap that is not a bool, and store given
+        permutations as two tuples, so a relabeling compares and hashes by
+        value. They are checked as bijections when they are resolved."""
         for name in ("alice_input_swap", "bob_input_swap"):
             if type(getattr(self, name)) is not bool:
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for who in ("alice", "bob"):
+            given = getattr(self, f"{who}_perms")
+            if given is None:
+                continue
+            try:
+                perms = tuple(tuple(p) for p in given)
+            except TypeError:
+                perms = ()
+            if len(perms) != 2:
+                raise ValueError(f"{who} needs one outcome permutation per input, got {given!r}")
+            object.__setattr__(self, f"{who}_perms", perms)
 
     def resolved(self, scenario: Scenario):
         """Concrete (alice_perms, bob_perms), validated as bijections."""
@@ -147,9 +159,6 @@ class Relabeling:
     def _checked(perms, counts, who: str):
         if perms is None:
             return tuple(tuple(range(n)) for n in counts)
-        perms = tuple(tuple(p) for p in perms)
-        if len(perms) != 2:
-            raise ValueError(f"{who} needs one outcome permutation per input, got {perms!r}")
         for x, (perm, n) in enumerate(zip(perms, counts)):
             if any(type(v) is not int for v in perm) or sorted(perm) != list(range(n)):
                 raise ValueError(

@@ -1,5 +1,6 @@
 """Scenario, box table, constraint-builder, and wire-format tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from nsbox import (
     INPUT_PAIRS,
+    ConstraintSystem,
     JointBox,
+    LinearCondition,
     Scenario,
     box_from_json,
     box_from_json_dict,
@@ -294,7 +297,29 @@ def test_vertex_mixtures_are_valid(i, j, num):
 
 
 # ---------------------------------------------------------------------------
-# differential: the integer block-sum validation against the constraint rows
+# differential: the integer evaluation of the catalog against Fractions
+
+
+def fraction_value(condition, box) -> Fraction:
+    """A row's left-hand side, summed in Fractions on the table as it is."""
+    total = F(0)
+    for i, c in condition.coeffs:
+        p = box.table[i]
+        if p:
+            total += c * p
+    return total
+
+
+def fraction_violations(conditions, box) -> list[str]:
+    """The labels of the rows the box breaks, in order: the independent
+    reference for ConstraintSystem.violations, which evaluates in ints."""
+    broken = []
+    for cond in conditions:
+        v = fraction_value(cond, box)
+        if not (v == cond.rhs if cond.relation == "eq" else v <= cond.rhs):
+            broken.append(cond.label)
+    return broken
+
 
 # denominators small, prime, and far beyond a machine word, so that scaling
 # the table to ints meets mixed and large lcms
@@ -339,14 +364,29 @@ def tampered_boxes(draw):
     return JointBox(s, tuple(table))
 
 
+@st.composite
+def extra_rows(draw, box):
+    """One more row over the box's coordinates: int coefficients on
+    increasing indices, eq or le, its int rhs often at the row's value
+    rounded either way, so that le rows meet their boundary."""
+    indices = sorted(draw(st.sets(st.integers(0, box.scenario.num_coords - 1), max_size=6)))
+    coeffs = tuple((i, draw(st.integers(-3, 3).filter(bool))) for i in indices)
+    value = fraction_value(LinearCondition(coeffs, 0, "eq", ""), box)
+    rhs = draw(st.sampled_from([math.floor(value), math.ceil(value), draw(st.integers(-3, 3))]))
+    return LinearCondition(coeffs, rhs, draw(st.sampled_from(["eq", "le"])), "extra row")
+
+
 @settings(max_examples=300, deadline=None)
-@given(tampered_boxes())
-def test_validation_matches_constraint_rows(box):
+@given(tampered_boxes(), st.data())
+def test_validation_matches_constraint_rows(box, data):
     s = box.scenario
-    expected = build_positivity(s).violations(box) + polytope_system(s).violations(box)
+    expected = fraction_violations(polytope_system(s).conditions, box)
     report = is_valid_box(box)
     assert report.violations == tuple(expected)
     assert report.ok is not expected
+    # the catalog has no le row with a nonzero rhs: one more row covers it
+    system = ConstraintSystem(s, polytope_system(s).conditions + (data.draw(extra_rows(box)),))
+    assert system.violations(box) == fraction_violations(system.conditions, box)
 
 
 def test_validation_report_is_kept_on_the_box():
@@ -363,8 +403,7 @@ def test_validation_labels_every_kind_of_violation():
     table[s.coord_index(0, 1, 0, 0)] -= F(1, 2)  # negative and signaling, normalized
     box = JointBox(s, tuple(table))
     report = is_valid_box(box)
-    assert report.violations == tuple(
-        build_positivity(s).violations(box) + polytope_system(s).violations(box))
+    assert report.violations == tuple(fraction_violations(polytope_system(s).conditions, box))
     assert report.violations[:3] == ("positivity: P(a=1, b=1 | x=0, y=1) >= 0",
                                      "positivity: P(a=3, b=1 | x=1, y=0) >= 0",
                                      "normalization: block (x=1, y=0) sums to 1")

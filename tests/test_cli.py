@@ -204,6 +204,36 @@ def test_verify_prints_one_line_per_broken_nosignaling_equality(capsys, tmp_path
     assert err.splitlines() == expected
 
 
+# every violation kind at once: the dims (2, 3, 3, 2) uniform box with one
+# cell set to -1/9 (negative, its block unnormalized) and 1/2 moved within
+# block (0, 1) (a negative cell, signaling)
+GOLDEN_INVALID_BOX_VIOLATIONS = """\
+violated: positivity: P(a=1, b=1 | x=0, y=1) >= 0
+violated: positivity: P(a=3, b=1 | x=1, y=0) >= 0
+violated: normalization: block (x=1, y=0) sums to 1
+violated: no-signaling: P(a=1 | x=0) via y=0 equals via y=1
+violated: no-signaling: P(a=2 | x=0) via y=0 equals via y=1
+violated: no-signaling: P(a=3 | x=1) via y=0 equals via y=1
+violated: no-signaling: P(b=1 | y=0) via x=0 equals via x=1
+violated: no-signaling: P(b=1 | y=1) via x=0 equals via x=1
+violated: no-signaling: P(b=2 | y=1) via x=0 equals via x=1
+"""
+
+
+def test_invalid_box_output_is_byte_identical_to_golden(capsys, tmp_path):
+    s = Scenario.from_dims([2, 3, 3, 2])
+    table = list(nsbox.uniform_box(s).table)
+    table[s.coord_index(1, 0, 2, 0)] = F(-1, 9)
+    table[s.coord_index(0, 1, 1, 1)] += F(1, 2)
+    table[s.coord_index(0, 1, 0, 0)] -= F(1, 2)
+    path = tmp_path / "invalid.json"
+    path.write_text(box_to_json(JointBox(s, tuple(table))))
+    assert run(capsys, "verify", str(path), "--kind", "relaxed") == (
+        1, "valid: no\n" + GOLDEN_INVALID_BOX_VIOLATIONS, "")
+    assert run(capsys, "pn", str(path), "--kind", "relaxed") == (
+        1, "", GOLDEN_INVALID_BOX_VIOLATIONS)
+
+
 def test_verify_d3_vertex_relaxed(capsys, tmp_path):
     box = nonlocal_vertex(Scenario.symmetric(3), (2, 2, 1))
     path = tmp_path / "vertex.json"
@@ -685,8 +715,6 @@ PUBLIC_SIGNATURES = {
     'boxes.JointBox.from_function': '(cls, scenario, prob)',
     'boxes.JointBox.prob': '(self, x, y, a, b)',
     'boxes.LinearCondition.__init__': '(self, coeffs, rhs, relation, label)',
-    'boxes.LinearCondition.evaluate': '(self, box)',
-    'boxes.LinearCondition.holds': '(self, box)',
     'boxes.Scenario.__init__': '(self, alice, bob)',
     'boxes.Scenario.coord_index': '(self, x, y, a, b)',
     'boxes.Scenario.coords': '(self)',

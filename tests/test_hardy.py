@@ -169,6 +169,19 @@ def test_relabeling_refuses_outcomes_that_are_not_ints(perm):
         build_argument("relaxed", s, relabeling=relabeling)
 
 
+def test_relabeling_is_compared_by_value():
+    # permutations given as lists are stored as tuples, so the relabeling
+    # equals and hashes like its tuple form
+    listed = Relabeling(alice_perms=[[0, 1], [1, 0]], bob_perms=([1, 0], range(2)))
+    tupled = Relabeling(alice_perms=((0, 1), (1, 0)), bob_perms=((1, 0), (0, 1)))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.alice_perms == ((0, 1), (1, 0)) and type(listed.bob_perms[0]) is tuple
+    for perms in (5, [[0, 1], 5], [[0, 1]], [(0, 1)] * 3):
+        message = f"bob needs one outcome permutation per input, got {perms!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Relabeling(bob_perms=perms)
+
+
 @pytest.mark.parametrize("swap", ["no", 0, 1, None])
 def test_relabeling_refuses_input_swaps_that_are_not_bools(swap):
     # read by truthiness "no" would swap and 0 would not, and the JSON
