@@ -188,6 +188,10 @@ class LinearCondition:
     relation: str  # "eq" or "le"
     label: str
 
+    def __post_init__(self):
+        if self.relation not in ("eq", "le"):
+            raise ValueError(f"relation must be 'eq' or 'le', got {self.relation!r}")
+
 
 @dataclass(frozen=True)
 class ConstraintSystem:

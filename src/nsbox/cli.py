@@ -8,6 +8,10 @@ of a box file), pn (the PN family of a box file as JSON).
 All probabilities print as exact "num/den" strings; CSV adds decimal
 approximation columns for plotting. Outcomes are 1-based and inputs 0-based
 on every surface. Output is byte-deterministic for identical invocations.
+
+Exit status: 0 on success; 1 for an unreadable or invalid box, pn with no
+satisfied relabeling, or an unwritable sweep --out; 2 for a usage error or a
+refused value or budget (main maps the library's ValueError to it).
 """
 
 from __future__ import annotations
@@ -83,21 +87,19 @@ def _argument_json_dict(arg: HardyArgument) -> dict:
     }
 
 
-def _load_box(path: str) -> JointBox:
-    with open(path, "r", encoding="utf-8") as fh:
-        return box_from_json(fh.read())
+def _load_box(path: str) -> JointBox | None:
+    """The box in the file at path, or None once its error is printed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return box_from_json(fh.read())
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_optimize(args) -> int:
-    try:
-        arg, _events = build_argument(args.kind, args.dims, args.p)
-        if args.regime == "ns":
-            report = max_success_ns(arg)
-        else:
-            report = max_success_lhv(arg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    arg, _events = build_argument(args.kind, args.dims, args.p)
+    report = max_success_ns(arg) if args.regime == "ns" else max_success_lhv(arg)
     print(json.dumps({
         "argument": _argument_json_dict(report.argument),
         "regime": report.regime,
@@ -158,11 +160,8 @@ def _sweep_csv(d_min: int, d_max: int) -> str:
 
 def cmd_sweep(args) -> int:
     if not 2 <= args.d_min <= args.d_max <= _SWEEP_CAP:
-        print(
-            f"error: need 2 <= d-min <= d-max <= cap ({_SWEEP_CAP}), "
-            f"got d-min={args.d_min}, d-max={args.d_max}",
-            file=sys.stderr)
-        return 2
+        raise ValueError(f"need 2 <= d-min <= d-max <= cap ({_SWEEP_CAP}), "
+                         f"got d-min={args.d_min}, d-max={args.d_max}")
     text = _sweep_csv(args.d_min, args.d_max)
     if args.out == "-":
         sys.stdout.write(text)
@@ -177,10 +176,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        box = _load_box(args.box)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    box = _load_box(args.box)
+    if box is None:
         return 1
     report = is_valid_box(box)
     print(f"valid: {'yes' if report.ok else 'no'}")
@@ -188,11 +185,7 @@ def cmd_verify(args) -> int:
         for label in report.violations:
             print(f"violated: {label}")
         return 1
-    try:
-        best = best_argument_with_pn(box, args.kind, args.p, args.exhaustive_perms)
-    except ValueError as exc:  # a bad --p, or a search over its budget
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    best = best_argument_with_pn(box, args.kind, args.p, args.exhaustive_perms)
     print(f"kind: {args.kind}")
     if best is None:
         identity_arg, _ = build_argument(args.kind, box.scenario, args.p)
@@ -211,21 +204,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pn(args) -> int:
-    try:
-        box = _load_box(args.box)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    box = _load_box(args.box)
+    if box is None:
         return 1
     report = is_valid_box(box)
     if not report.ok:
         for label in report.violations:
             print(f"violated: {label}", file=sys.stderr)
         return 1
-    try:
-        best = best_argument_with_pn(box, args.kind, args.p, args.exhaustive_perms)
-    except ValueError as exc:  # a bad --p, or a search over its budget
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    best = best_argument_with_pn(box, args.kind, args.p, args.exhaustive_perms)
     if best is None:
         print(f"error: no satisfied {args.kind} relabeling for this box", file=sys.stderr)
         return 1
@@ -257,12 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=_p_flag, default=Fraction(0),
                        help="bound on the last condition (relaxed kind only), e.g. 1/10")
 
-    def add_common_argument_flags(p):
-        add_p(p)
-        p.add_argument("--exhaustive-perms", action="store_true",
-                       help="search every outcome permutation instead of shifts and reversals "
-                            "(up to 7 outcomes per input)")
-
     p_opt = sub.add_parser("optimize", help="exact optimum of an argument under a regime")
     add_kind(p_opt)
     p_opt.add_argument("--dims", required=True, type=_dims_flag,
@@ -282,24 +263,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vert.add_argument("--kind", choices=["local", "nonlocal", "all"], default="all")
     p_vert.set_defaults(func=cmd_vertices)
 
-    p_verify = sub.add_parser("verify", help="validity and PP/PN/PPC of a box file")
-    p_verify.add_argument("box", help="path to a box JSON file")
-    add_kind(p_verify)
-    add_common_argument_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_pn = sub.add_parser("pn", help="PN family of a box file as JSON")
-    p_pn.add_argument("box", help="path to a box JSON file")
-    add_kind(p_pn)
-    add_common_argument_flags(p_pn)
-    p_pn.set_defaults(func=cmd_pn)
+    for name, func, text in (("verify", cmd_verify, "validity and PP/PN/PPC of a box file"),
+                             ("pn", cmd_pn, "PN family of a box file as JSON")):
+        p_box = sub.add_parser(name, help=text)
+        p_box.add_argument("box", help="path to a box JSON file")
+        add_kind(p_box)
+        add_p(p_box)
+        p_box.add_argument("--exhaustive-perms", action="store_true",
+                           help="search every outcome permutation instead of shifts and "
+                                "reversals (up to 7 outcomes per input)")
+        p_box.set_defaults(func=func)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # refused input: a bad value or a budget exceeded
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

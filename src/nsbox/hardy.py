@@ -82,7 +82,6 @@ __all__ = [
     "evaluate_pp",
     "compute_pn",
     "permutation_family_size",
-    "ppc",
     "best_satisfied_argument",
     "best_argument_with_pn",
     "attaining_nonlocal_vertex",
@@ -323,10 +322,10 @@ def _mass(entry, cells) -> Fraction:
 def _violation(entry, events: ArgumentEvents) -> Optional[ArgumentNotSatisfied]:
     """The first of the argument's conditions that entry (a function
     (x, y, a, b) -> probability) breaks, as an ArgumentNotSatisfied to raise,
-    or None when all hold. The one check of conditions against a box or a
-    congruence vertex. A broken zero condition (bound 0) is reported at its
-    first nonzero event in coordinate order; a condition with a positive
-    bound is a bounded sum."""
+    or None when all hold. The one check of conditions against a box, made
+    by evaluate_pp and by the packing's check of each family member. A
+    broken zero condition (bound 0) is reported at its first nonzero event
+    in coordinate order; a condition with a positive bound is a bounded sum."""
     for k, (zset, bound) in enumerate(zip(events.zeros, events.bounds)):
         if bound:
             total = _mass(entry, zset)
@@ -803,11 +802,6 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     base_pp = evaluate_pp(box, base)
     candidates = _success_candidates(box, base, exhaustive_perms)
     return _pn_of(box, base, base_pp, candidates)
-
-
-def ppc(box: JointBox, base: HardyArgument, exhaustive_perms: bool = False) -> Fraction:
-    """Nonlocality not converted into success: PN minus PP for the base."""
-    return compute_pn(box, base, exhaustive_perms).pn - evaluate_pp(box, base)
 
 
 def best_satisfied_argument(box: JointBox, kind: str, p=_ZERO,

@@ -389,6 +389,13 @@ def test_validation_matches_constraint_rows(box, data):
     assert system.violations(box) == fraction_violations(system.conditions, box)
 
 
+def test_linear_condition_refuses_a_relation_it_cannot_evaluate():
+    # any relation but "eq" used to read as <= in violations, and eq_rows dropped it
+    for relation in ("ge", "lt", "EQ", "", None):
+        with pytest.raises(ValueError, match="relation must be 'eq' or 'le', got "):
+            LinearCondition(((0, 1),), 1, relation, "P(0) >= 1")
+
+
 def test_validation_report_is_kept_on_the_box():
     box = uniform_box(Scenario.from_dims([2, 3, 3, 2]))
     assert is_valid_box(box) is is_valid_box(box)

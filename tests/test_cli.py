@@ -639,6 +639,62 @@ def test_sweep_unwritable_path(capsys):
 
 
 # ---------------------------------------------------------------------------
+# exit codes
+
+_NO_BOUND = "error: the conventional argument has no bounded condition; p must be 0\n"
+_BAD_BOUND = "error: last-condition bound must satisfy 0 <= p < 1, got 3/2\n"
+_NOT_JSON = ("error: box JSON: not valid JSON: Expecting property name enclosed in double "
+             "quotes: line 1 column 2 (char 1)\n")
+_MISSING = "error: [Errno 2] No such file or directory: '{dir}/nope.json'\n"
+
+# each command's refusals, as (argv, exit code, stdout, stderr);
+# "{dir}" stands for the test's directory, which holds pr.json (the PR box),
+# uniform3.json (the uniform d = 3 box) and broken.json (not JSON)
+REFUSALS = [
+    (["optimize", "--kind", "conventional", "--dims", "2,2,2,2", "--p", "1/10"], 2, "",
+     _NO_BOUND),
+    (["optimize", "--kind", "relaxed", "--regime", "lhv", "--dims", "2,2,2,2", "--p", "1/10"],
+     2, "", "error: the local-realistic route only handles p = 0 arguments\n"),
+    (["sweep", "--d-min", "4", "--d-max", "3"], 2, "",
+     "error: need 2 <= d-min <= d-max <= cap (16), got d-min=4, d-max=3\n"),
+    (["sweep", "--d-min", "2", "--d-max", "2", "--out", "{dir}/missing/sweep.csv"], 1, "",
+     "error: cannot write '{dir}/missing/sweep.csv': [Errno 2] No such file or directory: "
+     "'{dir}/missing/sweep.csv'\n"),
+    (["verify", "{dir}/pr.json", "--kind", "relaxed", "--p", "3/2"], 2, "valid: yes\n",
+     _BAD_BOUND),
+    (["verify", "{dir}/pr.json", "--kind", "conventional", "--p", "1/2"], 2, "valid: yes\n",
+     _NO_BOUND),
+    (["pn", "{dir}/pr.json", "--kind", "relaxed", "--p", "3/2"], 2, "", _BAD_BOUND),
+    (["pn", "{dir}/pr.json", "--kind", "conventional", "--p", "1/2"], 2, "", _NO_BOUND),
+    (["verify", "{dir}/nope.json", "--kind", "relaxed"], 1, "", _MISSING),
+    (["pn", "{dir}/nope.json", "--kind", "relaxed"], 1, "", _MISSING),
+    (["verify", "{dir}/broken.json", "--kind", "relaxed"], 1, "", _NOT_JSON),
+    (["pn", "{dir}/broken.json", "--kind", "relaxed"], 1, "", _NOT_JSON),
+    (["pn", "{dir}/uniform3.json", "--kind", "relaxed"], 1, "",
+     "error: no satisfied relaxed relabeling for this box\n"),
+    (["verify", "{dir}/uniform3.json", "--kind", "relaxed"], 0,
+     "valid: yes\nkind: relaxed\npp: not satisfied (zero condition 1 violated at event "
+     "(x=1, y=0, a=1, b=2) with probability 1/9)\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", REFUSALS,
+                         ids=[f"{i}-{case[0][0]}" for i, case in enumerate(REFUSALS)])
+def test_refusals_are_byte_identical_in_process_and_fresh(capsys, tmp_path, argv, code, out,
+                                                          err):
+    write_pr(tmp_path)
+    (tmp_path / "uniform3.json").write_text(box_to_json(nsbox.uniform_box(Scenario.symmetric(3))))
+    (tmp_path / "broken.json").write_text("{not json")
+    argv, out, err = ([a.replace("{dir}", str(tmp_path)) for a in argv],
+                      out.replace("{dir}", str(tmp_path)), err.replace("{dir}", str(tmp_path)))
+    assert run(capsys, *argv) == (code, out, err)
+    src = str(Path(nsbox.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-m", "nsbox.cli", *argv], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+
+
+# ---------------------------------------------------------------------------
 # option census
 
 # every option string of every subcommand: adding or removing a flag must
@@ -681,7 +737,7 @@ NSBOX_NAMES = [
     "enumerate_vertices", "evaluate_pp", "exact_rank", "format_event", "format_rational",
     "is_local", "is_valid_box", "local_vertex", "marginal", "max_success_lhv", "max_success_ns",
     "nonlocal_vertex", "ns_program", "parse_rational", "permutation_family_size",
-    "polytope_dimension", "polytope_system", "ppc", "solve_max", "uniform_box",
+    "polytope_dimension", "polytope_system", "solve_max", "uniform_box",
 ]
 MODULE_ALL = {
     "rationals": ["coerce_rational", "format_rational", "parse_rational"],
@@ -699,7 +755,7 @@ MODULE_ALL = {
               "SearchBudgetExceeded", "argument_events", "attaining_nonlocal_vertex",
               "best_argument_with_pn", "best_satisfied_argument", "build_argument", "compute_pn",
               "evaluate_pp", "format_event", "max_success_lhv", "max_success_ns", "ns_program",
-              "permutation_family_size", "ppc"],
+              "permutation_family_size"],
     "cli": ["main"],
 }
 
@@ -759,7 +815,6 @@ PUBLIC_SIGNATURES = {
     'hardy.max_success_ns': '(arg)',
     'hardy.ns_program': '(arg)',
     'hardy.permutation_family_size': '(n, exhaustive)',
-    'hardy.ppc': '(box, base, exhaustive_perms=False)',
     'lp.LinearProgram.__init__':
         '(self, num_vars, objective, eq_constraints=(), ineq_constraints=())',
     'lp.LinearProgram.canonical': '(self)',
