@@ -331,9 +331,8 @@ def box_to_json_dict(box: JointBox) -> dict:
     return {
         "scenario": {"dA": list(s.alice), "dB": list(s.bob)},
         "table": [
-            {"x": x, "y": y, "a": a + 1, "b": b + 1,
-             "p": format_rational(box.table[s.coord_index(x, y, a, b)])}
-            for (x, y, a, b) in s.coords()
+            {"x": x, "y": y, "a": a + 1, "b": b + 1, "p": format_rational(q)}
+            for (x, y, a, b), q in zip(s.coords(), box.table)
         ],
     }
 

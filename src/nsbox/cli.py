@@ -162,13 +162,12 @@ def cmd_sweep(args) -> int:
     if not 2 <= args.d_min <= args.d_max <= _SWEEP_CAP:
         raise ValueError(f"need 2 <= d-min <= d-max <= cap ({_SWEEP_CAP}), "
                          f"got d-min={args.d_min}, d-max={args.d_max}")
-    text = _sweep_csv(args.d_min, args.d_max)
     if args.out == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(_sweep_csv(args.d_min, args.d_max))
         return 0
-    try:
+    try:  # opened before any LP is solved, so an unwritable path fails at once
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write(_sweep_csv(args.d_min, args.d_max))
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return 1
@@ -179,6 +178,7 @@ def cmd_verify(args) -> int:
     box = _load_box(args.box)
     if box is None:
         return 1
+    identity_arg, _ = build_argument(args.kind, box.scenario, args.p)  # refuses a bad --p
     report = is_valid_box(box)
     print(f"valid: {'yes' if report.ok else 'no'}")
     if not report.ok:
@@ -188,7 +188,6 @@ def cmd_verify(args) -> int:
     best = best_argument_with_pn(box, args.kind, args.p, args.exhaustive_perms)
     print(f"kind: {args.kind}")
     if best is None:
-        identity_arg, _ = build_argument(args.kind, box.scenario, args.p)
         try:
             evaluate_pp(box, identity_arg)
         except ArgumentNotSatisfied as exc:
@@ -207,6 +206,7 @@ def cmd_pn(args) -> int:
     box = _load_box(args.box)
     if box is None:
         return 1
+    build_argument(args.kind, box.scenario, args.p)  # refuses a bad --p
     report = is_valid_box(box)
     if not report.ok:
         for label in report.violations:

@@ -611,13 +611,15 @@ def _spread(rel: dict, other: dict):
 
 
 def _success_candidates(box: JointBox, arg: HardyArgument, exhaustive: bool):
-    """Deterministic list of (success cells, mass, chain) for the first
-    satisfied permutation chain and every later one with positive success
-    mass, over the outcome relabelings of arg on its input swaps; cells live
-    on the designated block, and a chain is the four permutations (pa0, pb0,
-    pa1, pb1) of Alice's and Bob's logical inputs 0 and 1, members of the
-    cached families, which _chain_argument turns into an argument. Refuses,
-    before any search, a family larger than MAX_PERMUTATION_FAMILY.
+    """(scale, candidates): candidates is the deterministic list of (success
+    cells, mass, chain) for the first satisfied permutation chain and every
+    later one with positive success mass, over the outcome relabelings of arg
+    on its input swaps; cells live on the designated block, a mass is an int
+    over scale, the common denominator of that block's entries, and a chain
+    is the four permutations (pa0, pb0, pa1, pb1) of Alice's and Bob's
+    logical inputs 0 and 1, members of the cached families, which
+    _chain_argument turns into an argument. Refuses, before any search, a
+    family larger than MAX_PERMUTATION_FAMILY.
 
     Each condition couples one Alice and one Bob permutation, and _relation
     gives the pairs that keep it within its bound as bitset rows. A fourth
@@ -648,7 +650,6 @@ def _success_candidates(box: JointBox, arg: HardyArgument, exhaustive: bool):
     block = box.block(ax[0], by[0])
     scale = math.lcm(*(q.denominator for row in block for q in row))
     block = [[q.numerator * (scale // q.denominator) for q in row] for row in block]
-    masses: dict[int, Fraction] = {}  # int total -> its Fraction, built once
     out = []
     for ia0, row in sorted(r_a0b1.items()):
         b0s = reached.get(row)
@@ -673,11 +674,8 @@ def _success_candidates(box: JointBox, arg: HardyArgument, exhaustive: bool):
             pa0, pb0 = fam_a[0][ia0], fam_b[0][ib0]
             cells = frozenset((pa0[r], pb0[t]) for r, t in t_success)
             total = sum(block[a][b] for a, b in cells)
-            mass = masses.get(total)
-            if mass is None:
-                mass = masses[total] = Fraction(total, scale)
-            out.append((cells, mass, (pa0, pb0, fam_a[1][ia1], fam_b[1][ib1])))
-    return out
+            out.append((cells, total, (pa0, pb0, fam_a[1][ia1], fam_b[1][ib1])))
+    return scale, out
 
 
 def _chain_argument(arg: HardyArgument, chain) -> HardyArgument:
@@ -693,23 +691,21 @@ def _chain_argument(arg: HardyArgument, chain) -> HardyArgument:
     return replace(arg, relabeling=rel)
 
 
-def _max_disjoint_mass(entries):
-    """Exact maximum-weight packing of pairwise-disjoint cell sets.
+def _max_disjoint_mass(entries, scale: int):
+    """Exact maximum-weight packing of pairwise-disjoint cell sets, each
+    entry's mass an int over scale; the total returns as a Fraction.
 
-    Depth-first search over entries sorted by descending mass. The masses
-    are scaled to ints over their common denominator. The bound on a branch
-    is the suffix sum of the masses still to come, capped at that
-    denominator (a mass of 1): the cells lie in one block of a valid box,
-    whose total mass is 1, so no disjoint family can exceed it. Ties keep
-    the first optimum found, so the result is deterministic. Skipped entries
-    are walked in a loop, so the recursion is only as deep as the packing is
+    Depth-first search over entries sorted by descending mass. The bound on
+    a branch is the suffix sum of the masses still to come, capped at scale
+    (a mass of 1): the cells lie in one block of a valid box, whose total
+    mass is 1, so no disjoint family can exceed it. Ties keep the first
+    optimum found, so the result is deterministic. Skipped entries are
+    walked in a loop, so the recursion is only as deep as the packing is
     large.
     """
-    scale = math.lcm(*(mass.denominator for _cells, mass, _arg in entries))
-    scaled = [mass.numerator * (scale // mass.denominator) for _cells, mass, _arg in entries]
-    order = sorted(range(len(entries)), key=lambda i: (-scaled[i], sorted(entries[i][0])))
+    order = sorted(range(len(entries)), key=lambda i: (-entries[i][1], sorted(entries[i][0])))
     cells = [entries[i][0] for i in order]
-    masses = [scaled[i] for i in order]
+    masses = [entries[i][1] for i in order]
     suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + masses[i]
@@ -735,36 +731,36 @@ def _max_disjoint_mass(entries):
 
 def _best_of(box: JointBox, kind: str, p, exhaustive_perms: bool):
     """The relabeling search over identity input roles: (argument, success
-    mass, candidates) for the first candidate of largest mass, or None when
-    the box satisfies no relabeled argument. Validates kind, p and the box
-    first."""
+    mass, scale, candidates) for the first candidate of largest mass, or
+    None when the box satisfies no relabeled argument. Validates kind, p and
+    the box first."""
     arg, _ = build_argument(kind, box.scenario, p)
     _check_box_for(box, arg)
-    candidates = _success_candidates(box, arg, exhaustive_perms)
+    scale, candidates = _success_candidates(box, arg, exhaustive_perms)
     best = max(candidates, key=lambda candidate: candidate[1], default=None)
     if best is None:
         return None
-    _cells, mass, chain = best
-    return _chain_argument(arg, chain), mass, candidates
+    _cells, total, chain = best
+    return _chain_argument(arg, chain), Fraction(total, scale), scale, candidates
 
 
-def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates) -> PnResult:
+def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, scale: int,
+           candidates) -> PnResult:
     """PN of base, whose success mass is base_pp, from the search's
-    candidates on base's input roles. Only the packed chains become
-    arguments, and every family member is rechecked against the box before
-    it is returned."""
+    candidates on base's input roles, their masses ints over scale. Only the
+    packed chains become arguments, and every family member is rechecked
+    against the box before it is returned."""
     base_cells = frozenset((a, b) for (_x, _y, a, b) in argument_events(base).success)
-    entries = [(base_cells, base_pp, None)]  # chain None: the base itself
-    seen = {base_cells}
+    # exact: base's success cells lie in the block whose denominators scale covers
+    base_total = base_pp.numerator * (scale // base_pp.denominator)
+    entries = {base_cells: (base_cells, base_total, None)}  # chain None: the base itself
     for entry in candidates:
-        if entry[0] not in seen:
-            seen.add(entry[0])
-            entries.append(entry)
+        entries.setdefault(entry[0], entry)
 
-    positive = [e for e in entries if e[1] > 0]
+    positive = [e for e in entries.values() if e[1] > 0]
     if not positive:
         return PnResult(_ZERO, (base,))
-    total, picked = _max_disjoint_mass(positive)
+    total, picked = _max_disjoint_mass(positive, scale)
 
     blocks = {(x, y): box.block(x, y) for x, y in INPUT_PAIRS}
 
@@ -777,7 +773,7 @@ def _pn_of(box: JointBox, base: HardyArgument, base_pp: Fraction, candidates) ->
         arg = base if chain is None else _chain_argument(base, chain)
         events = argument_events(arg)
         if (_violation(entry, events) is not None
-                or _mass(entry, events.success) != mass or not claimed.isdisjoint(cells)):
+                or _mass(entry, events.success) * scale != mass or not claimed.isdisjoint(cells)):
             raise RuntimeError("internal error: inconsistent packing member")
         claimed.update(cells)
         family.append(arg)
@@ -800,8 +796,7 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     have zero mass costs no more than its relations.
     """
     base_pp = evaluate_pp(box, base)
-    candidates = _success_candidates(box, base, exhaustive_perms)
-    return _pn_of(box, base, base_pp, candidates)
+    return _pn_of(box, base, base_pp, *_success_candidates(box, base, exhaustive_perms))
 
 
 def best_satisfied_argument(box: JointBox, kind: str, p=_ZERO,
@@ -819,10 +814,7 @@ def best_argument_with_pn(box: JointBox, kind: str, p=_ZERO, exhaustive_perms: b
     of that argument, as (argument, PP, PnResult), or None; one relabeling
     search serves both."""
     best = _best_of(box, kind, p, exhaustive_perms)
-    if best is None:
-        return None
-    base, mass, candidates = best
-    return base, mass, _pn_of(box, base, mass, candidates)
+    return None if best is None else (*best[:2], _pn_of(box, *best))
 
 
 def _congruence_masses(arg: HardyArgument):

@@ -351,6 +351,26 @@ def test_pn_exhaustive_output_is_byte_identical_to_golden(capsys, tmp_path, d, d
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# stdout sha256 of `nsbox pn --kind conventional [--exhaustive-perms]` on the
+# same files, recorded while the packing still took Fraction masses. The
+# conventional success set is one cell, so many chains share it and the
+# printed family pins which of them the packing keeps: the first one found
+GOLDEN_PN_CONVENTIONAL = [
+    (3, (), "dbc9707c997f1cc6ef45c36a8de0bc80e814e95ec38cc492ad09ca47f9ef23c9"),
+    (3, ("--exhaustive-perms",), "c27f77a0f88e729dc1be05d6660f8a6154e9ff97578d27d40d0baa7d070cb3ce"),
+    (4, (), "7446537af27f77b1aac830e53156e1384ae8f092c3d41c944bd5c3a0dbe30734"),
+    (4, ("--exhaustive-perms",), "d54fe7cbda1a74834f296f092ce2c9660fc0a9cace90269cefe26164bd6829e3"),
+]
+
+
+@pytest.mark.parametrize("d,flags,digest", GOLDEN_PN_CONVENTIONAL)
+def test_pn_conventional_output_is_byte_identical_to_golden(capsys, tmp_path, d, flags, digest):
+    path = write_relabeled_vertex(tmp_path, d)
+    code, out, _ = run(capsys, "pn", path, "--kind", "conventional", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # stdout sha256 of `nsbox verify --kind relaxed --exhaustive-perms` on the same
 # files, recorded when each command still ran the relabeling search twice
 GOLDEN_VERIFY_EXHAUSTIVE = [
@@ -638,6 +658,17 @@ def test_sweep_unwritable_path(capsys):
     assert code == 1 and "error" in err
 
 
+def test_sweep_opens_its_out_path_before_solving(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sweep was computed before its --out path was opened")
+
+    monkeypatch.setattr(cli, "_sweep_csv", refuse)
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = run(capsys, "sweep", "--d-min", "2", "--d-max", "16", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: cannot write {str(out)!r}: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -649,7 +680,9 @@ _MISSING = "error: [Errno 2] No such file or directory: '{dir}/nope.json'\n"
 
 # each command's refusals, as (argv, exit code, stdout, stderr);
 # "{dir}" stands for the test's directory, which holds pr.json (the PR box),
-# uniform3.json (the uniform d = 3 box) and broken.json (not JSON)
+# uniform3.json (the uniform d = 3 box), negative.json (the PR box with one
+# cell at -1/2, an invalid box) and broken.json (not JSON); a bad --p is
+# refused before a box is checked or scored
 REFUSALS = [
     (["optimize", "--kind", "conventional", "--dims", "2,2,2,2", "--p", "1/10"], 2, "",
      _NO_BOUND),
@@ -660,10 +693,8 @@ REFUSALS = [
     (["sweep", "--d-min", "2", "--d-max", "2", "--out", "{dir}/missing/sweep.csv"], 1, "",
      "error: cannot write '{dir}/missing/sweep.csv': [Errno 2] No such file or directory: "
      "'{dir}/missing/sweep.csv'\n"),
-    (["verify", "{dir}/pr.json", "--kind", "relaxed", "--p", "3/2"], 2, "valid: yes\n",
-     _BAD_BOUND),
-    (["verify", "{dir}/pr.json", "--kind", "conventional", "--p", "1/2"], 2, "valid: yes\n",
-     _NO_BOUND),
+    (["verify", "{dir}/pr.json", "--kind", "relaxed", "--p", "3/2"], 2, "", _BAD_BOUND),
+    (["verify", "{dir}/pr.json", "--kind", "conventional", "--p", "1/2"], 2, "", _NO_BOUND),
     (["pn", "{dir}/pr.json", "--kind", "relaxed", "--p", "3/2"], 2, "", _BAD_BOUND),
     (["pn", "{dir}/pr.json", "--kind", "conventional", "--p", "1/2"], 2, "", _NO_BOUND),
     (["verify", "{dir}/nope.json", "--kind", "relaxed"], 1, "", _MISSING),
@@ -675,6 +706,7 @@ REFUSALS = [
     (["verify", "{dir}/uniform3.json", "--kind", "relaxed"], 0,
      "valid: yes\nkind: relaxed\npp: not satisfied (zero condition 1 violated at event "
      "(x=1, y=0, a=1, b=2) with probability 1/9)\n", ""),
+    (["verify", "{dir}/negative.json", "--kind", "relaxed", "--p", "3/2"], 2, "", _BAD_BOUND),
 ]
 
 
@@ -682,7 +714,9 @@ REFUSALS = [
                          ids=[f"{i}-{case[0][0]}" for i, case in enumerate(REFUSALS)])
 def test_refusals_are_byte_identical_in_process_and_fresh(capsys, tmp_path, argv, code, out,
                                                           err):
-    write_pr(tmp_path)
+    data = json.loads(Path(write_pr(tmp_path)).read_text())
+    data["table"][0]["p"] = "-1/2"  # was 1/2
+    (tmp_path / "negative.json").write_text(json.dumps(data))
     (tmp_path / "uniform3.json").write_text(box_to_json(nsbox.uniform_box(Scenario.symmetric(3))))
     (tmp_path / "broken.json").write_text("{not json")
     argv, out, err = ([a.replace("{dir}", str(tmp_path)) for a in argv],

@@ -719,10 +719,11 @@ def test_ppc_on_d4_vertex():
 def test_packing_of_many_overlapping_entries_keeps_the_first_maximum():
     # 1,500 entries sharing cell (0, 0): one recursion level per skipped
     # entry would exceed Python's default recursion limit
-    entries = [(frozenset({(0, 0), (1, i)}), F(1, 10**6), i) for i in range(1500)]
-    entries[700] = (frozenset({(0, 0), (1, 900)}), F(1, 2), 700)
-    entries[900] = (frozenset({(0, 0), (1, 901)}), F(1, 2), 900)
-    total, picked = hardy._max_disjoint_mass(entries)
+    # masses are ints over the scale 10**6: 1 is 1/10**6 and 500_000 is 1/2
+    entries = [(frozenset({(0, 0), (1, i)}), 1, i) for i in range(1500)]
+    entries[700] = (frozenset({(0, 0), (1, 900)}), 500_000, 700)
+    entries[900] = (frozenset({(0, 0), (1, 901)}), 500_000, 900)
+    total, picked = hardy._max_disjoint_mass(entries, 10**6)
     assert total == F(1, 2)
     assert picked == [entries[700]]
 
@@ -771,14 +772,19 @@ packing_cells = st.frozensets(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.tuples(packing_cells, packing_masses), max_size=12))
-def test_integer_packing_matches_fraction_packing(pairs):
-    # catches a cap of 1 (not the common denominator) on the integer masses,
-    # and a flipped tie order (cells sorted in reverse, or the last optimum kept)
+@given(st.lists(st.tuples(packing_cells, packing_masses), max_size=12), st.integers(1, 3))
+def test_integer_packing_matches_fraction_packing(pairs, factor):
+    # catches a cap of 1 (not the scale) on the integer masses, and a flipped
+    # tie order (cells sorted in reverse, or the last optimum kept); the scale
+    # is a multiple of the common denominator, as a block's scale may be
     entries = [(cells, mass, index) for index, (cells, mass) in enumerate(pairs)]
-    total, picked = hardy._max_disjoint_mass(entries)
+    scale = factor * math.lcm(*(mass.denominator for _cells, mass, _index in entries))
+    scaled = [(cells, mass.numerator * (scale // mass.denominator), index)
+              for cells, mass, index in entries]
+    total, picked = hardy._max_disjoint_mass(scaled, scale)
     assert type(total) is Fraction
-    assert (total, picked) == fraction_max_disjoint_mass(entries)
+    assert (total, [entries[index] for _cells, _mass, index in picked]) == (
+        fraction_max_disjoint_mass(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -943,16 +949,16 @@ def differential_boxes(dims):
 
 
 def assert_search_matches_full_enumeration(monkeypatch, box, kind, p, swaps, exhaustive):
-    # the full candidate lists, (cells, mass, chain) each, and PN of the
-    # first candidate's chain as the base argument
+    # the scale and the full candidate lists, (cells, mass, chain) each, and
+    # PN of the first candidate's chain as the base argument
     arg = HardyArgument(kind, box.scenario, Relabeling(*swaps), p)
 
     def search():
-        candidates = hardy._success_candidates(box, arg, exhaustive)
+        scale, candidates = hardy._success_candidates(box, arg, exhaustive)
         if not candidates:
-            return candidates, None
+            return scale, candidates, None
         base = hardy._chain_argument(arg, candidates[0][2])
-        return candidates, compute_pn(box, base, exhaustive)
+        return scale, candidates, compute_pn(box, base, exhaustive)
 
     fast = search()
     with monkeypatch.context() as m:
@@ -1039,11 +1045,14 @@ def test_chain_join_matches_reference_join(dims):
             for swaps in SWAPS:
                 for exhaustive in (False, True):
                     arg = HardyArgument(kind, box.scenario, Relabeling(*swaps), p)
-                    candidates = hardy._success_candidates(box, arg, exhaustive)
+                    scale, candidates = hardy._success_candidates(box, arg, exhaustive)
                     case = (dims, kind, p, swaps, exhaustive)
-                    assert candidates == reference_candidates(box, kind, p, swaps, exhaustive), case
+                    assert all(type(total) is int for _cells, total, _chain in candidates), case
+                    as_fractions = [(cells, F(total, scale), chain)
+                                    for cells, total, chain in candidates]
+                    assert as_fractions == reference_candidates(box, kind, p, swaps, exhaustive), case
                     ax, by, _counts = hardy._roles(arg)
-                    for cells, mass, chain in candidates:
+                    for cells, mass, chain in as_fractions:
                         rebuilt = hardy._chain_argument(arg, chain)
                         success = argument_events(rebuilt).success
                         assert success == {(ax[0], by[0], a, b) for a, b in cells}, case
