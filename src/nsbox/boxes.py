@@ -25,7 +25,6 @@ from typing import Callable, Iterator, Sequence
 from .rationals import coerce_rational, format_rational, parse_rational
 
 __all__ = [
-    "PARTIES",
     "INPUT_PAIRS",
     "Scenario",
     "JointBox",
@@ -37,7 +36,6 @@ __all__ = [
     "build_nosignaling",
     "polytope_system",
     "is_valid_box",
-    "marginal",
     "polytope_dimension",
     "uniform_box",
     "box_to_json_dict",
@@ -46,10 +44,7 @@ __all__ = [
     "box_from_json",
 ]
 
-PARTIES = ("A", "B")
 INPUT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -301,22 +296,6 @@ def is_valid_box(box: JointBox) -> ValidationReport:
     it is checked once and the report is kept on it.
     """
     return box._report
-
-
-def marginal(box: JointBox, party: str, x: int, outcome: int) -> Fraction:
-    """One party's marginal P(outcome | input), summed on far input 0. On a
-    valid box it is the same on far input 1; is_valid_box checks that."""
-    if party not in PARTIES:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    if type(x) is not int or x not in (0, 1):
-        raise ValueError(f"input must be 0 or 1, got {x!r}")
-    n_own = (box.scenario.alice if party == "A" else box.scenario.bob)[x]
-    if type(outcome) is not int or not 0 <= outcome < n_own:
-        raise ValueError(
-            f"outcome {outcome!r} out of range for party {party} input {x} ({n_own} outcomes, 0-based)")
-    if party == "A":
-        return sum(box.block(x, 0)[outcome], _ZERO)
-    return sum((row[outcome] for row in box.block(0, x)), _ZERO)
 
 
 def polytope_dimension(scenario: Scenario) -> int:

@@ -180,12 +180,13 @@ def cmd_verify(args) -> int:
         return 1
     identity_arg, _ = build_argument(args.kind, box.scenario, args.p)  # refuses a bad --p
     report = is_valid_box(box)
-    print(f"valid: {'yes' if report.ok else 'no'}")
     if not report.ok:
+        print("valid: no")
         for label in report.violations:
             print(f"violated: {label}")
         return 1
     best = best_argument_with_pn(box, args.kind, args.p, args.exhaustive_perms)
+    print("valid: yes")  # after the search, which may refuse its budget
     print(f"kind: {args.kind}")
     if best is None:
         try:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .rationals import coerce_rational, format_rational
+from .rationals import coerce_rational
 
 __all__ = [
     "LpStatus",
@@ -129,28 +129,6 @@ class LinearProgram:
             return coeffs, rhs.numerator, 1
         return ([(j, c.numerator * (scale // c.denominator)) for j, c in coeffs],
                 rhs.numerator * (scale // rhs.denominator), scale)
-
-    def to_json_dict(self) -> dict:
-        """Diagnostic JSON form; every rational renders as a "num/den" string."""
-        objective, eq, ineq = self.canonical()
-
-        def encode(rows):
-            out = []
-            for coeffs, rhs, scale in rows:
-                row = [0] * self.num_vars
-                for j, c in coeffs:
-                    row[j] = c
-                out.append({"row": [format_rational(Fraction(c, scale)) for c in row],
-                            "rhs": format_rational(Fraction(rhs, scale))})
-            return out
-
-        return {
-            "num_vars": self.num_vars,
-            "objective": [format_rational(c) for c in objective],
-            "eq_constraints": encode(eq),
-            "ineq_constraints": encode(ineq),
-            "nonneg": True,
-        }
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ d = min over the four inputs (outcomes at index >= d carry probability 0):
 
 Also provides the exact locality decision (an LP over the triangulated
 marginal problem of Fine's theorem, at most 2 * d^3 columns where the
-deterministic strategies number d^4), zero-padding embeddings between
-scenarios, and exact convex decomposition over arbitrary candidate boxes.
+deterministic strategies number d^4) and exact convex decomposition over
+arbitrary candidate boxes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "deterministic_box",
     "deterministic_strategies",
     "is_local",
-    "embed",
     "convex_decomposition",
 ]
 
@@ -208,19 +207,3 @@ def is_local(box: JointBox) -> bool:
     rhs = [box.table[i] for i in cells] + [0] * (na0 * na1)
     program = LinearProgram(k, [0] * k, list(zip(rows, rhs)), [])
     return solve_max(program).status is LpStatus.OPTIMAL
-
-
-def embed(box: JointBox, target: Scenario) -> JointBox:
-    """Zero-pad a box into a larger scenario; extra outcomes get probability 0."""
-    src = box.scenario
-    for x in (0, 1):
-        if target.alice[x] < src.alice[x] or target.bob[x] < src.bob[x]:
-            raise ValueError(
-                f"embedding cannot shrink outcome counts: {src.dims()} -> {target.dims()}")
-
-    def prob(x, y, a, b):
-        if a < src.alice[x] and b < src.bob[y]:
-            return box.prob(x, y, a, b)
-        return _ZERO
-
-    return JointBox.from_function(target, prob)

@@ -19,7 +19,6 @@ from nsbox import (
     enumerate_vertices,
     evaluate_pp,
     exact_rank,
-    embed,
     is_valid_box,
     max_success_lhv,
     max_success_ns,
@@ -28,6 +27,8 @@ from nsbox import (
     uniform_box,
 )
 from nsbox.cli import main as cli_main
+
+from padding import zero_padded
 
 F = Fraction
 
@@ -146,7 +147,7 @@ def test_criterion_8_every_generated_box_is_valid():
             assert is_valid_box(max_success_lhv(arg).witness).ok
             checked += 3
     pr = nonlocal_vertex(Scenario.symmetric(2), (0, 0, 0))
-    assert is_valid_box(embed(pr, Scenario.symmetric(4))).ok
+    assert is_valid_box(zero_padded(pr, Scenario.symmetric(4))).ok
     checked += 1
     print(f"\nACCEPTANCE 8 PASS: {checked} generated boxes all satisfy positivity, "
           "normalization, and no-signaling exactly")

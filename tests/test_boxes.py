@@ -22,7 +22,6 @@ from nsbox import (
     build_positivity,
     deterministic_box,
     is_valid_box,
-    marginal,
     nonlocal_vertex,
     ns_program,
     polytope_dimension,
@@ -74,9 +73,6 @@ BOOL_COORDINATES = {
                             "^outcome b=False out of range"),
     "prob outcome": (lambda box: box.prob(0, 0, True, 0), "^outcome a=True out of range"),
     "block input": (lambda box: box.block(0, False), "^inputs must be 0 or 1, got x=0, y=False$"),
-    "marginal input": (lambda box: marginal(box, "A", True, 0), "^input must be 0 or 1, got True$"),
-    "marginal outcome": (lambda box: marginal(box, "B", 0, True),
-                         "^outcome True out of range for party B"),
 }
 
 
@@ -169,21 +165,17 @@ def test_negated_entry_names_positivity_row():
 
 
 def test_marginal_examples():
+    # a marginal is a block sum: Alice's P(a | x) a row of block (x, 0),
+    # Bob's P(b | y) a column of block (0, y)
     pr = pr_box()
-    assert marginal(pr, "A", 0, 0) == F(1, 2)
+    assert sum(pr.block(0, 0)[0]) == F(1, 2)
     s = pr.scenario
     det = deterministic_box(s, (0, 0), (0, 0))
-    assert marginal(det, "A", 0, 0) == 1
-    assert marginal(det, "B", 1, 1) == 0
+    assert sum(det.block(0, 0)[0]) == 1
+    assert sum(row[1] for row in det.block(0, 1)) == 0
     for d in (2, 3, 4):
         u = uniform_box(Scenario.symmetric(d))
-        assert marginal(u, "A", 0, 0) == F(1, d)
-    with pytest.raises(ValueError):
-        marginal(pr, "A", 0, 2)
-    with pytest.raises(ValueError, match="^party must be 'A' or 'B', got 'C'$"):
-        marginal(pr, "C", 0, 0)
-    with pytest.raises(ValueError, match="^input must be 0 or 1, got 2$"):
-        marginal(pr, "B", 2, 0)
+        assert sum(u.block(0, 0)[0]) == F(1, d)
 
 
 def test_polytope_dimension_values():

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import types
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -677,12 +678,16 @@ _BAD_BOUND = "error: last-condition bound must satisfy 0 <= p < 1, got 3/2\n"
 _NOT_JSON = ("error: box JSON: not valid JSON: Expecting property name enclosed in double "
              "quotes: line 1 column 2 (char 1)\n")
 _MISSING = "error: [Errno 2] No such file or directory: '{dir}/nope.json'\n"
+_OVER_BUDGET = ("error: the relabeling search over 8 outcomes needs a family of 40320 "
+                "permutations per input, over the budget of 5040\n")
 
 # each command's refusals, as (argv, exit code, stdout, stderr);
 # "{dir}" stands for the test's directory, which holds pr.json (the PR box),
-# uniform3.json (the uniform d = 3 box), negative.json (the PR box with one
-# cell at -1/2, an invalid box) and broken.json (not JSON); a bad --p is
-# refused before a box is checked or scored
+# uniform3.json (the uniform d = 3 box), uniform8.json (the uniform box of
+# dims (8, 2, 2, 2), too many outcomes for --exhaustive-perms), negative.json
+# (the PR box with one cell at -1/2, an invalid box) and broken.json (not
+# JSON); a bad --p is refused before a box is checked or scored, and a
+# refused search budget prints nothing on stdout
 REFUSALS = [
     (["optimize", "--kind", "conventional", "--dims", "2,2,2,2", "--p", "1/10"], 2, "",
      _NO_BOUND),
@@ -707,6 +712,10 @@ REFUSALS = [
      "valid: yes\nkind: relaxed\npp: not satisfied (zero condition 1 violated at event "
      "(x=1, y=0, a=1, b=2) with probability 1/9)\n", ""),
     (["verify", "{dir}/negative.json", "--kind", "relaxed", "--p", "3/2"], 2, "", _BAD_BOUND),
+    (["verify", "{dir}/uniform8.json", "--kind", "relaxed", "--exhaustive-perms"], 2, "",
+     _OVER_BUDGET),
+    (["pn", "{dir}/uniform8.json", "--kind", "relaxed", "--exhaustive-perms"], 2, "",
+     _OVER_BUDGET),
 ]
 
 
@@ -718,6 +727,8 @@ def test_refusals_are_byte_identical_in_process_and_fresh(capsys, tmp_path, argv
     data["table"][0]["p"] = "-1/2"  # was 1/2
     (tmp_path / "negative.json").write_text(json.dumps(data))
     (tmp_path / "uniform3.json").write_text(box_to_json(nsbox.uniform_box(Scenario.symmetric(3))))
+    (tmp_path / "uniform8.json").write_text(
+        box_to_json(nsbox.uniform_box(Scenario.from_dims([8, 2, 2, 2]))))
     (tmp_path / "broken.json").write_text("{not json")
     argv, out, err = ([a.replace("{dir}", str(tmp_path)) for a in argv],
                       out.replace("{dir}", str(tmp_path)), err.replace("{dir}", str(tmp_path)))
@@ -762,26 +773,26 @@ NSBOX_NAMES = [
     "HardyArgument", "INPUT_PAIRS", "JointBox", "KIND_CONVENTIONAL", "KIND_RELAXED",
     "LinearCondition", "LinearProgram", "LocalLabel", "LpResult", "LpStatus", "LpValidationError",
     "MAX_LHV_STRATEGIES", "MAX_PERMUTATION_FAMILY", "NonlocalLabel", "OptimizationReport",
-    "PARTIES", "PnResult", "REGIME_LHV", "REGIME_NS", "Relabeling", "Scenario",
+    "PnResult", "REGIME_LHV", "REGIME_NS", "Relabeling", "Scenario",
     "SearchBudgetExceeded", "ValidationReport", "argument_events", "attaining_nonlocal_vertex",
     "best_argument_with_pn", "best_satisfied_argument", "box_from_json", "box_from_json_dict",
     "box_to_json", "box_to_json_dict", "build_argument", "build_normalization",
     "build_nosignaling", "build_positivity", "coerce_rational", "compute_pn",
-    "convex_decomposition", "deterministic_box", "deterministic_strategies", "embed",
+    "convex_decomposition", "deterministic_box", "deterministic_strategies",
     "enumerate_vertices", "evaluate_pp", "exact_rank", "format_event", "format_rational",
-    "is_local", "is_valid_box", "local_vertex", "marginal", "max_success_lhv", "max_success_ns",
+    "is_local", "is_valid_box", "local_vertex", "max_success_lhv", "max_success_ns",
     "nonlocal_vertex", "ns_program", "parse_rational", "permutation_family_size",
     "polytope_dimension", "polytope_system", "solve_max", "uniform_box",
 ]
 MODULE_ALL = {
     "rationals": ["coerce_rational", "format_rational", "parse_rational"],
     "lp": ["LinearProgram", "LpResult", "LpStatus", "LpValidationError", "exact_rank", "solve_max"],
-    "boxes": ["ConstraintSystem", "INPUT_PAIRS", "JointBox", "LinearCondition", "PARTIES",
+    "boxes": ["ConstraintSystem", "INPUT_PAIRS", "JointBox", "LinearCondition",
               "Scenario", "ValidationReport", "box_from_json", "box_from_json_dict", "box_to_json",
               "box_to_json_dict", "build_normalization", "build_nosignaling", "build_positivity",
-              "is_valid_box", "marginal", "polytope_dimension", "polytope_system", "uniform_box"],
+              "is_valid_box", "polytope_dimension", "polytope_system", "uniform_box"],
     "vertices": ["LocalLabel", "NonlocalLabel", "convex_decomposition", "deterministic_box",
-                 "deterministic_strategies", "embed", "enumerate_vertices", "is_local",
+                 "deterministic_strategies", "enumerate_vertices", "is_local",
                  "local_vertex", "nonlocal_vertex"],
     "hardy": ["ArgumentEvents", "ArgumentNotSatisfied", "HARDY_QUANTUM_OPTIMUM", "HardyArgument",
               "KIND_CONVENTIONAL", "KIND_RELAXED", "MAX_LHV_STRATEGIES", "MAX_PERMUTATION_FAMILY",
@@ -820,7 +831,6 @@ PUBLIC_SIGNATURES = {
     'boxes.build_nosignaling': '(scenario)',
     'boxes.build_positivity': '(scenario)',
     'boxes.is_valid_box': '(box)',
-    'boxes.marginal': '(box, party, x, outcome)',
     'boxes.polytope_dimension': '(scenario)',
     'boxes.polytope_system': '(scenario)',
     'boxes.uniform_box': '(scenario)',
@@ -852,7 +862,6 @@ PUBLIC_SIGNATURES = {
     'lp.LinearProgram.__init__':
         '(self, num_vars, objective, eq_constraints=(), ineq_constraints=())',
     'lp.LinearProgram.canonical': '(self)',
-    'lp.LinearProgram.to_json_dict': '(self)',
     'lp.LpResult.__init__': '(self, status, value=None, solution=None)',
     'lp.exact_rank': '(rows)',
     'lp.solve_max': '(lp)',
@@ -862,7 +871,6 @@ PUBLIC_SIGNATURES = {
     'vertices.convex_decomposition': '(box, candidates)',
     'vertices.deterministic_box': '(scenario, alice_outputs, bob_outputs)',
     'vertices.deterministic_strategies': '(scenario)',
-    'vertices.embed': '(box, target)',
     'vertices.enumerate_vertices': "(scenario, kind='all')",
     'vertices.is_local': '(box)',
     'vertices.local_vertex': '(scenario, label)',
@@ -870,13 +878,14 @@ PUBLIC_SIGNATURES = {
 }
 
 
-def test_public_api_census():
-    names = sorted(name for name, value in vars(nsbox).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
-    assert names == NSBOX_NAMES
-    modules = [info.name for info in pkgutil.iter_modules(nsbox.__path__)]
-    assert {name: sorted(importlib.import_module(f"nsbox.{name}").__all__)
-            for name in modules} == MODULE_ALL
+def nsbox_modules() -> list[str]:
+    return [info.name for info in pkgutil.iter_modules(nsbox.__path__)]
+
+
+def public_signatures() -> dict[str, str]:
+    """The parameters of every public function and of every public class's
+    own methods, its constructor included, keyed "<module>.<name>" or
+    "<module>.<class>.<method>"."""
 
     def bare(fn):
         sig = inspect.signature(fn)
@@ -884,7 +893,7 @@ def test_public_api_census():
                                return_annotation=sig.empty))
 
     signatures = {}
-    for name in modules:
+    for name in nsbox_modules():
         module = importlib.import_module(f"nsbox.{name}")
         for public in module.__all__:
             value = getattr(module, public)
@@ -896,7 +905,90 @@ def test_public_api_census():
                 member = getattr(member, "__func__", member)  # a classmethod's or staticmethod's function
                 if inspect.isfunction(member) and (attr == "__init__" or not attr.startswith("_")):
                     signatures[f"{name}.{public}.{attr}"] = bare(member)
-    assert signatures == PUBLIC_SIGNATURES
+    return signatures
+
+
+def test_public_api_census():
+    names = sorted(name for name, value in vars(nsbox).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == NSBOX_NAMES
+    assert {name: sorted(importlib.import_module(f"nsbox.{name}").__all__)
+            for name in nsbox_modules()} == MODULE_ALL
+    assert public_signatures() == PUBLIC_SIGNATURES
+
+
+# public names that no code in src/ calls, each with the reason it stays; a
+# name that gains a caller must leave this table, so it can only shrink
+UNCALLED_PUBLIC = {
+    "exact_rank": "ROADMAP item 11 (the Hardy inequality as a certified facet) reads it",
+    "polytope_dimension": "ROADMAP item 11 reads it",
+    "uniform_box": "bench/workloads.py builds benchmark inputs with it",
+    "box_to_json": "bench/workloads.py writes the benchmark's box files with it",
+    "is_local": "the locality decision, a north-star output (ROADMAP aim 1)",
+    "convex_decomposition": "bench/tracing.py TRACED wraps it",
+    "best_satisfied_argument": "bench/tracing.py TRACED wraps it",
+}
+
+
+def src_references(roots) -> set[tuple[str, str]]:
+    """The names that the code of src/nsbox which runs reads, as ("name", id)
+    for a Name and ("attr", attr) for an Attribute.
+
+    Module-level statements run, and so do the definitions named in roots.
+    A read reaches each top-level function or class of its name, and an
+    Attribute read also each method of its name; a reached definition's own
+    reads count in turn, to a fixpoint. A class's statements other than its
+    methods, its dunder methods among them, run with the class, so code that
+    only dead functions read stays unread."""
+    defs: dict[tuple[str, str], set] = defaultdict(set)
+    read: set[tuple[str, str]] = set()
+
+    def reads(nodes):
+        found = set()
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(getattr(sub, "ctx", None), ast.Load):
+                    if isinstance(sub, ast.Name):
+                        found.add(("name", sub.id))
+                    elif isinstance(sub, ast.Attribute):
+                        found.add(("attr", sub.attr))
+        return found
+
+    for path in sorted(Path(nsbox.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef):
+                methods = [s for s in stmt.body
+                           if isinstance(s, ast.FunctionDef) and not s.name.startswith("__")]
+                for method in methods:
+                    defs["attr", method.name] |= reads([method])
+                rest = [s for s in stmt.body if s not in methods] + stmt.decorator_list + stmt.bases
+                defs["name", stmt.name] |= reads(rest)
+            elif isinstance(stmt, ast.FunctionDef):
+                defs["name", stmt.name] |= reads([stmt])
+            else:
+                read |= reads([stmt])
+    pending, reached = list(read) + [("name", name) for name in roots], set()
+    while pending:
+        kind, name = pending.pop()
+        for key in {("name", name), (kind, name)} - reached:
+            if key in defs:
+                reached.add(key)
+                pending.extend(defs[key] - read)
+                read |= defs[key]
+    return read
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # a public name is read by code in src/ that runs, or it is one of
+    # UNCALLED_PUBLIC; a method counts only as an Attribute read
+    read = src_references(UNCALLED_PUBLIC)
+    uncalled = {public for name in nsbox_modules()
+                for public in importlib.import_module(f"nsbox.{name}").__all__
+                if ("name", public) not in read and ("attr", public) not in read}
+    uncalled |= {key for key in public_signatures()
+                 if key.count(".") == 2 and not key.endswith(".__init__")
+                 and ("attr", key.rsplit(".", 1)[1]) not in read}
+    assert uncalled == set(UNCALLED_PUBLIC)
 
 
 # the package's public names are declared once, in the modules' __all__

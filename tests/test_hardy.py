@@ -332,13 +332,28 @@ def proportional_key(pairs, rhs) -> tuple:
 
 
 def json_sha256(lp: LinearProgram) -> str:
-    text = json.dumps(lp.to_json_dict(), sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """sha256 of the program as sorted-key JSON: num_vars, the objective,
+    every canonical row written densely with its rhs, each rational as
+    "num/den", and "nonneg": true."""
+    objective, eq, ineq = lp.canonical()
+
+    def encode(rows):
+        out = []
+        for pairs, rhs, scale in rows:
+            row = [0] * lp.num_vars
+            for j, c in pairs:
+                row[j] = c
+            out.append({"row": [format_rational(F(c, scale)) for c in row],
+                        "rhs": format_rational(F(rhs, scale))})
+        return out
+
+    data = {"num_vars": lp.num_vars, "objective": [format_rational(c) for c in objective],
+            "eq_constraints": encode(eq), "ineq_constraints": encode(ineq), "nonneg": True}
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-# sha256 of json.dumps(ns_program(arg).to_json_dict(), sort_keys=True) for the
-# identity argument: it fixes the objective and the row order, and so Bland's
-# pivot path. The digests below were recorded while the no-signaling catalog
+# json_sha256(ns_program(arg)) for the identity argument: it fixes the
+# objective and the row order, and so Bland's pivot path. The digests below were recorded while the no-signaling catalog
 # stated every equality twice (a row, then its negation). Today's one-row
 # program must hash to ONE_ROW_DIGEST, and with_negated_nosignaling_rows must
 # rebuild the recorded program from it, which solves to the same result.

@@ -352,13 +352,12 @@ def test_feasibility_helpers_agree_with_solve_max():
             assert certify_optimum(lp) == res.value
 
 
-def test_to_json_dict_wire_format():
+def test_canonical_objective_and_scaled_rows():
     lp = program(2, [1, F(-1, 2)], [([1, 1], 1)], [([0, 1], F(3, 4))])
-    data = lp.to_json_dict()
-    assert data["objective"] == ["1/1", "-1/2"]
-    assert data["eq_constraints"] == [{"row": ["1/1", "1/1"], "rhs": "1/1"}]
-    assert data["ineq_constraints"] == [{"row": ["0/1", "1/1"], "rhs": "3/4"}]
-    assert data["num_vars"] == 2 and data["nonneg"] is True
+    objective, eq, ineq = lp.canonical()
+    assert objective == [1, F(-1, 2)] and all(type(c) is F for c in objective)
+    assert eq == [([(0, 1), (1, 1)], 1, 1)]
+    assert ineq == [([(1, 4)], 3, 4)]  # the zero dropped, the row scaled by 4
 
 
 def test_exact_rank_basics():

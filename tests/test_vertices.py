@@ -19,13 +19,11 @@ from nsbox import (
     convex_decomposition,
     deterministic_box,
     deterministic_strategies,
-    embed,
     enumerate_vertices,
     exact_rank,
     is_local,
     is_valid_box,
     local_vertex,
-    marginal,
     max_success_lhv,
     nonlocal_vertex,
     polytope_dimension,
@@ -34,6 +32,8 @@ from nsbox import (
 from nsbox import lp as lp_module
 from nsbox import vertices as vertices_module
 from nsbox.lp import LinearProgram, LpStatus, solve_max
+
+from padding import zero_padded
 
 F = Fraction
 
@@ -62,8 +62,8 @@ def test_local_vertex_input_dependent_alice():
 def test_local_vertex_offset_arithmetic_d3():
     box = local_vertex(Scenario.symmetric(3), (2, 1, 0, 0))
     # a = (2x + 1) mod 3: outcome 1 on input 0, outcome 0 on input 1
-    assert marginal(box, "A", 0, 1) == 1
-    assert marginal(box, "A", 1, 0) == 1
+    assert sum(box.block(0, 0)[1]) == 1
+    assert sum(box.block(1, 0)[0]) == 1
 
 
 def test_pr_box_table():
@@ -122,7 +122,7 @@ def test_every_label_yields_a_valid_box():
     for label in itertools.product(range(2), repeat=3):
         box = nonlocal_vertex(asym, label)
         assert is_valid_box(box).ok
-        assert marginal(box, "B", 1, 2) == 0  # outcomes beyond the reduced range
+        assert sum(row[2] for row in box.block(0, 1)) == 0  # outcomes beyond the reduced range
 
 
 def test_enumeration_counts_and_dedup():
@@ -428,7 +428,7 @@ def test_is_local_matches_full_program_on_seeded_random_boxes():
 def test_locality_program_shape():
     # uniform d = 3: 54 columns over 45 rows, against 81 deterministic strategies
     for box in (uniform_box(Scenario.symmetric(3)), uniform_box(Scenario.from_dims([2, 3, 4, 3])),
-                pr_box(), embed(pr_box(), Scenario.symmetric(3))):
+                pr_box(), zero_padded(pr_box(), Scenario.symmetric(3))):
         assert_marginal_program_shape(box, locality_program(box)[1])
     program = locality_program(uniform_box(Scenario.symmetric(3)))[1]
     assert (program.num_vars, len(program.eq_constraints)) == (54, 45)
@@ -440,7 +440,7 @@ def test_local_verdicts_carry_a_glued_mixture():
     boxes += [local_vertex(Scenario.symmetric(2), label)
               for label in itertools.product(range(2), repeat=4)]
     small = local_vertex(Scenario.symmetric(2), (1, 1, 0, 1))
-    boxes.append(embed(small, Scenario.from_dims([3, 2, 2, 4])))
+    boxes.append(zero_padded(small, Scenario.from_dims([3, 2, 2, 4])))
     rng = random.Random(7)
     boxes += [deterministic_mixture(Scenario.symmetric(3), rng, k)[0] for k in (1, 2, 3)]
     for box in boxes:
@@ -488,26 +488,21 @@ def test_is_local_rejects_invalid_boxes():
 
 
 # ---------------------------------------------------------------------------
-# embedding
+# zero padding
 
 
 def test_embed_pr_into_three_outcomes():
     target = Scenario.symmetric(3)
-    big = embed(pr_box(), target)
+    big = zero_padded(pr_box(), target)
     assert is_valid_box(big).ok
-    assert marginal(big, "A", 0, 2) == 0 and marginal(big, "B", 1, 2) == 0
+    assert sum(big.block(0, 0)[2]) == 0 and sum(row[2] for row in big.block(0, 1)) == 0
     assert big.prob(0, 0, 0, 0) == F(1, 2)
-    assert not is_local(big)  # embedding cannot make a nonlocal box local
+    assert not is_local(big)  # padding cannot make a nonlocal box local
 
 
 def test_embed_keeps_local_boxes_local():
     small = local_vertex(Scenario.symmetric(2), (1, 1, 0, 1))
-    assert is_local(embed(small, Scenario.from_dims([3, 2, 2, 4])))
-
-
-def test_embed_cannot_shrink():
-    with pytest.raises(ValueError):
-        embed(uniform_box(Scenario.symmetric(3)), Scenario.symmetric(2))
+    assert is_local(zero_padded(small, Scenario.from_dims([3, 2, 2, 4])))
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +585,6 @@ def test_random_nonlocal_labels_are_valid_and_uniform(dims, seed):
         hit = a < d and b < d and (b - a - x * y - xc * x - yc * y - shift) % d == 0
         assert box.prob(x, y, a, b) == (F(1, d) if hit else 0)
     for a in range(d):
-        assert marginal(box, "A", 0, a) == F(1, d)
+        assert sum(box.block(0, 0)[a]) == F(1, d)
     for a in range(d, s.alice[0]):
-        assert marginal(box, "A", 0, a) == 0
+        assert sum(box.block(0, 0)[a]) == 0
