@@ -1,6 +1,6 @@
 """Exact-rational toolkit for two-input no-signaling boxes.
 
-Builds the box polytope's constraint systems, generates its closed-form
+States the box polytope as labeled constraint rows, generates its closed-form
 extremal boxes, and computes exact optima of Hardy-type paradox arguments
 over no-signaling and local-realistic models, all in ``fractions.Fraction``
 arithmetic with zero numerical error.

@@ -29,11 +29,7 @@ __all__ = [
     "Scenario",
     "JointBox",
     "LinearCondition",
-    "ConstraintSystem",
     "ValidationReport",
-    "build_positivity",
-    "build_normalization",
-    "build_nosignaling",
     "polytope_system",
     "is_valid_box",
     "polytope_dimension",
@@ -153,15 +149,25 @@ class JointBox:
         slice of the table at the block's offset. The inputs are checked
         once, not per cell as prob does."""
         s = self.scenario
-        if type(x) is not int or type(y) is not int or x not in (0, 1) or y not in (0, 1):
-            raise ValueError(f"inputs must be 0 or 1, got x={x!r}, y={y!r}")
-        start, nb = s._offsets[(x, y)], s.bob[y]
+        start, nb = s.coord_index(x, y, 0, 0), s.bob[y]
         return tuple(self.table[start + a * nb:start + (a + 1) * nb] for a in range(s.alice[x]))
 
     @cached_property
     def _report(self) -> "ValidationReport":
-        violations = polytope_system(self.scenario).violations(self)
-        return ValidationReport(not violations, tuple(violations))
+        """The report of the polytope rows the box breaks, in catalog order.
+        Each row is evaluated exactly in ints: the table is scaled once by
+        the lcm of its denominators, and the row's total is compared with
+        rhs * scale."""
+        scale = math.lcm(*{p.denominator for p in self.table})
+        cells = [p.numerator * (scale // p.denominator) for p in self.table]
+        broken = []
+        for cond in polytope_system(self.scenario):
+            total = 0
+            for i, c in cond.coeffs:
+                total += c * cells[i]
+            if total != cond.rhs * scale if cond.relation == "eq" else total > cond.rhs * scale:
+                broken.append(cond.label)
+        return ValidationReport(not broken, tuple(broken))
 
 
 def uniform_box(scenario: Scenario) -> JointBox:
@@ -175,7 +181,7 @@ class LinearCondition:
     """One labeled linear row over box coordinates: coeffs . p (= | <=) rhs.
 
     The row is sparse: coeffs holds its nonzero (index, coeff) pairs, sorted
-    by coordinate index. The builders here make every coefficient and rhs an
+    by coordinate index. polytope_system makes every coefficient and rhs an
     int, the form the LP kernel takes without conversion."""
 
     coeffs: tuple[tuple[int, int], ...]
@@ -188,94 +194,38 @@ class LinearCondition:
             raise ValueError(f"relation must be 'eq' or 'le', got {self.relation!r}")
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """A labeled bundle of linear conditions over one scenario's coordinates.
+@cache
+def polytope_system(scenario: Scenario) -> tuple[LinearCondition, ...]:
+    """The no-signaling polytope, stated once as labeled rows, in order: one
+    positivity row -P(a, b | x, y) <= 0 per coordinate; one normalization
+    row per input pair, its block summing to 1; one no-signaling row per
+    (party, own input, outcome), the party's marginal summed on far input 0
+    minus the same marginal summed on far input 1 equal to 0. ns_program
+    reads its equality rows and is_valid_box evaluates every row.
 
-    The variable order is the scenario's coord_index bijection; eq_rows hands
-    the sparse coeffs to the LP kernel as they are, its own row form.
-    """
-
-    scenario: Scenario
-    conditions: tuple[LinearCondition, ...]
-
-    def eq_rows(self) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-        return [(c.coeffs, c.rhs) for c in self.conditions if c.relation == "eq"]
-
-    def violations(self, box: JointBox) -> list[str]:
-        """The labels of the rows the box breaks, in catalog order. Each row
-        is evaluated exactly in ints: the table is scaled once by the lcm of
-        its denominators, and the row's total is compared with rhs * scale."""
-        if box.scenario != self.scenario:
-            raise ValueError("box and constraint system live on different scenarios")
-        scale = math.lcm(*{p.denominator for p in box.table})
-        cells = [p.numerator * (scale // p.denominator) for p in box.table]
-        broken = []
-        for cond in self.conditions:
-            total = 0
-            for i, c in cond.coeffs:
-                total += c * cells[i]
-            if total != cond.rhs * scale if cond.relation == "eq" else total > cond.rhs * scale:
-                broken.append(cond.label)
-        return broken
-
-
-def _nosignaling_label(party: str, own: int, outcome: int) -> str:
-    o, i, f = ("a", "x", "y") if party == "A" else ("b", "y", "x")
-    return f"no-signaling: P({o}={outcome + 1} | {i}={own}) via {f}=0 equals via {f}=1"
-
-
-def build_positivity(scenario: Scenario) -> ConstraintSystem:
-    """One row -P(a, b | x, y) <= 0 per coordinate."""
-    return ConstraintSystem(scenario, tuple(
-        LinearCondition(((i, -1),), 0, "le", f"positivity: P(a={a + 1}, b={b + 1} | x={x}, y={y}) >= 0")
-        for i, (x, y, a, b) in enumerate(scenario.coords())))
-
-
-def build_normalization(scenario: Scenario) -> ConstraintSystem:
-    """One row per input pair: the block's entries sum to 1. Exactly 4 rows."""
-    conds = []
-    for x, y in INPUT_PAIRS:
-        coeffs = tuple((scenario.coord_index(x, y, a, b), 1)
-                       for a in range(scenario.alice[x]) for b in range(scenario.bob[y]))
-        conds.append(LinearCondition(coeffs, 1, "eq", f"normalization: block (x={x}, y={y}) sums to 1"))
-    return ConstraintSystem(scenario, tuple(conds))
-
-
-def build_nosignaling(scenario: Scenario) -> ConstraintSystem:
-    """Marginal-agreement rows, one per (party, own input, outcome): the
-    party's marginal summed on far input 0 minus the same marginal summed on
-    far input 1 equals 0. All-dims-2 scenarios get 4 Alice rows and 4 Bob rows.
-    """
-    def row(via0, via1):
-        return tuple(sorted([(i, 1) for i in via0] + [(i, -1) for i in via1]))
-
+    Built once per scenario and cached: every caller shares the same tuple."""
     idx = scenario.coord_index
-    conds = []
+    rows = [LinearCondition(((i, -1),), 0, "le", f"positivity: P(a={a + 1}, b={b + 1} | x={x}, y={y}) >= 0")
+            for i, (x, y, a, b) in enumerate(scenario.coords())]
+    for x, y in INPUT_PAIRS:
+        coeffs = tuple((idx(x, y, a, b), 1) for a in range(scenario.alice[x]) for b in range(scenario.bob[y]))
+        rows.append(LinearCondition(coeffs, 1, "eq", f"normalization: block (x={x}, y={y}) sums to 1"))
+
+    def nosignaling(via0, via1, marginal):
+        coeffs = tuple(sorted([(i, 1) for i in via0] + [(i, -1) for i in via1]))
+        rows.append(LinearCondition(coeffs, 0, "eq", f"no-signaling: {marginal}"))
+
     for x in (0, 1):
         for a in range(scenario.alice[x]):
-            coeffs = row([idx(x, 0, a, b) for b in range(scenario.bob[0])],
-                         [idx(x, 1, a, b) for b in range(scenario.bob[1])])
-            conds.append(LinearCondition(coeffs, 0, "eq", _nosignaling_label("A", x, a)))
+            nosignaling([idx(x, 0, a, b) for b in range(scenario.bob[0])],
+                        [idx(x, 1, a, b) for b in range(scenario.bob[1])],
+                        f"P(a={a + 1} | x={x}) via y=0 equals via y=1")
     for y in (0, 1):
         for b in range(scenario.bob[y]):
-            coeffs = row([idx(0, y, a, b) for a in range(scenario.alice[0])],
-                         [idx(1, y, a, b) for a in range(scenario.alice[1])])
-            conds.append(LinearCondition(coeffs, 0, "eq", _nosignaling_label("B", y, b)))
-    return ConstraintSystem(scenario, tuple(conds))
-
-
-@cache
-def polytope_system(scenario: Scenario) -> ConstraintSystem:
-    """The no-signaling polytope, stated once: positivity, normalization and
-    no-signaling rows, in that order. ns_program reads its equality rows and
-    is_valid_box evaluates every row.
-
-    Built once per scenario and cached: every caller shares the same
-    immutable system (eq_rows still hands out a fresh list)."""
-    return ConstraintSystem(scenario, build_positivity(scenario).conditions
-                            + build_normalization(scenario).conditions
-                            + build_nosignaling(scenario).conditions)
+            nosignaling([idx(0, y, a, b) for a in range(scenario.alice[0])],
+                        [idx(1, y, a, b) for a in range(scenario.alice[1])],
+                        f"P(b={b + 1} | y={y}) via x=0 equals via x=1")
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -288,9 +238,9 @@ class ValidationReport:
 
 
 def is_valid_box(box: JointBox) -> ValidationReport:
-    """Exact membership check: polytope_system(scenario).violations(box).
+    """Exact membership check: every row of polytope_system(box.scenario).
 
-    Violations carry the builders' labels, one per broken row, in catalog
+    Violations carry the rows' labels, one per broken row, in catalog
     order: positivity in coordinate order, normalization in INPUT_PAIRS
     order, then Alice's and Bob's no-signaling rows. A box is immutable, so
     it is checked once and the report is kept on it.

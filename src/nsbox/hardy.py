@@ -366,7 +366,7 @@ def ns_program(arg: HardyArgument) -> LinearProgram:
     objective = [_ZERO] * n
     for e in events.success:
         objective[s.coord_index(*e)] = _ONE
-    eq = polytope_system(s).eq_rows()
+    eq = [(c.coeffs, c.rhs) for c in polytope_system(s) if c.relation == "eq"]
     ineq = []
     for zset, bound in zip(events.zeros, events.bounds):
         row = [(i, 1) for i in sorted(s.coord_index(*e) for e in zset)]

@@ -1,6 +1,7 @@
-"""Scenario, box table, constraint-builder, and wire-format tests."""
+"""Scenario, box table, polytope-catalog, and wire-format tests."""
 
-import math
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from nsbox import (
     INPUT_PAIRS,
-    ConstraintSystem,
     JointBox,
     LinearCondition,
     Scenario,
@@ -17,9 +17,6 @@ from nsbox import (
     box_to_json,
     box_to_json_dict,
     build_argument,
-    build_normalization,
-    build_nosignaling,
-    build_positivity,
     deterministic_box,
     is_valid_box,
     nonlocal_vertex,
@@ -94,40 +91,59 @@ def test_incomplete_table_rejected():
 
 
 # ---------------------------------------------------------------------------
-# constraint builders
+# the polytope catalog
+
+
+def catalog_rows(scenario: Scenario, prefix: str) -> list:
+    """The rows of polytope_system(scenario) whose label starts with prefix."""
+    return [c for c in polytope_system(scenario) if c.label.startswith(prefix)]
+
+
+# sha256 of the catalog as canonical JSON, one [coeffs, rhs, relation, label]
+# per row in catalog order, recorded from the three builders the catalog was
+# once concatenated from: every row's coefficients, label and place are fixed
+GOLDEN_CATALOG = {
+    (2, 2, 2, 2): "f8a3744efbaa9c2263d11b9c1c8233d16389164f5b4ff5931790450c8e6ed0db",
+    (2, 3, 4, 5): "264e17fc61b33e681d44128db8070ab6421b65f56d6a489384f28eae3a56c0c5",
+    (3, 3, 3, 3): "27c18121b30239958c5aa7c90facd55990517bf2a2259a796d7518b1370533f6",
+}
+
+
+@pytest.mark.parametrize("dims", sorted(GOLDEN_CATALOG), ids=lambda dims: "x".join(map(str, dims)))
+def test_catalog_is_pinned(dims):
+    rows = [(c.coeffs, c.rhs, c.relation, c.label) for c in polytope_system(Scenario.from_dims(dims))]
+    blob = json.dumps(rows, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_CATALOG[dims]
 
 
 def test_positivity_row_counts():
-    assert len(build_positivity(Scenario.symmetric(2)).conditions) == 16
-    assert len(build_positivity(Scenario.symmetric(3)).conditions) == 36
-    assert len(build_positivity(Scenario.from_dims([2, 3, 2, 3])).conditions) == 25
+    assert len(catalog_rows(Scenario.symmetric(2), "positivity:")) == 16
+    assert len(catalog_rows(Scenario.symmetric(3), "positivity:")) == 36
+    assert len(catalog_rows(Scenario.from_dims([2, 3, 2, 3]), "positivity:")) == 25
 
 
 def test_normalization_rows():
     s = Scenario.symmetric(2)
-    system = build_normalization(s)
-    assert len(system.conditions) == 4
-    assert len(system.eq_rows()) == 4
-    for (x, y), cond, (row, rhs) in zip(INPUT_PAIRS, system.conditions, system.eq_rows()):
-        assert cond.relation == "eq" and cond.rhs == 1 and rhs == 1
+    rows = catalog_rows(s, "normalization:")
+    assert len(rows) == 4
+    eq = ns_program(build_argument("conventional", s)[0]).eq_constraints
+    for (x, y), cond in zip(INPUT_PAIRS, rows):
+        assert cond.relation == "eq" and cond.rhs == 1
         block = [s.coord_index(x, y, a, b) for a in range(2) for b in range(2)]
         assert cond.coeffs == tuple((i, 1) for i in block)
-        assert row is cond.coeffs  # handed to the LP kernel as it is
+        assert any(row is cond.coeffs for row, _ in eq)  # handed to the LP kernel as it is
     assert is_valid_box(uniform_box(Scenario.from_dims([2, 3, 4, 5]))).ok
 
 
 def test_nosignaling_row_counts_all_dims_2():
-    system = build_nosignaling(Scenario.symmetric(2))
-    alice = [c for c in system.conditions if "P(a=" in c.label]
-    bob = [c for c in system.conditions if "P(b=" in c.label]
+    s = Scenario.symmetric(2)
+    alice = catalog_rows(s, "no-signaling: P(a=")
+    bob = catalog_rows(s, "no-signaling: P(b=")
     assert len(alice) == 4 and len(bob) == 4
 
 
 def test_pr_box_satisfies_everything():
     pr = pr_box()
-    assert not build_nosignaling(pr.scenario).violations(pr)
-    with pytest.raises(ValueError, match="^box and constraint system live on different scenarios$"):
-        build_nosignaling(Scenario.symmetric(3)).violations(pr)
     report = is_valid_box(pr)
     assert report.ok and report.violations == ()
     assert bool(report) is True
@@ -142,12 +158,12 @@ def test_signaling_table_fails_one_alice_marginal():
     table[s.coord_index(0, 0, 0, 0)] += F(1, 8)
     table[s.coord_index(0, 1, 0, 0)] -= F(1, 8)
     tampered = JointBox(s, tuple(table))
-    violated = build_nosignaling(s).violations(tampered)
-    alice_rows = [v for v in violated if "P(a=" in v]
+    report = is_valid_box(tampered)
+    alice_rows = [v for v in report.violations if v.startswith("no-signaling: P(a=")]
     # one Alice marginal equality is broken, and the catalog states it once
     assert len(alice_rows) == 1
     assert all("P(a=1 | x=0)" in row for row in alice_rows)
-    assert not is_valid_box(tampered).ok
+    assert not report.ok
 
 
 def test_negated_entry_names_positivity_row():
@@ -285,7 +301,7 @@ def test_vertex_mixtures_are_valid(i, j, num):
                             for p, q in zip(first.table, second.table)))
     report = is_valid_box(mix)
     assert report.ok, report.violations
-    assert not polytope_system(s).violations(mix)
+    assert not fraction_violations(polytope_system(s), mix)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +320,7 @@ def fraction_value(condition, box) -> Fraction:
 
 def fraction_violations(conditions, box) -> list[str]:
     """The labels of the rows the box breaks, in order: the independent
-    reference for ConstraintSystem.violations, which evaluates in ints."""
+    reference for is_valid_box, which evaluates in ints."""
     broken = []
     for cond in conditions:
         v = fraction_value(cond, box)
@@ -356,33 +372,17 @@ def tampered_boxes(draw):
     return JointBox(s, tuple(table))
 
 
-@st.composite
-def extra_rows(draw, box):
-    """One more row over the box's coordinates: int coefficients on
-    increasing indices, eq or le, its int rhs often at the row's value
-    rounded either way, so that le rows meet their boundary."""
-    indices = sorted(draw(st.sets(st.integers(0, box.scenario.num_coords - 1), max_size=6)))
-    coeffs = tuple((i, draw(st.integers(-3, 3).filter(bool))) for i in indices)
-    value = fraction_value(LinearCondition(coeffs, 0, "eq", ""), box)
-    rhs = draw(st.sampled_from([math.floor(value), math.ceil(value), draw(st.integers(-3, 3))]))
-    return LinearCondition(coeffs, rhs, draw(st.sampled_from(["eq", "le"])), "extra row")
-
-
 @settings(max_examples=300, deadline=None)
-@given(tampered_boxes(), st.data())
-def test_validation_matches_constraint_rows(box, data):
-    s = box.scenario
-    expected = fraction_violations(polytope_system(s).conditions, box)
+@given(tampered_boxes())
+def test_validation_matches_constraint_rows(box):
+    expected = fraction_violations(polytope_system(box.scenario), box)
     report = is_valid_box(box)
     assert report.violations == tuple(expected)
     assert report.ok is not expected
-    # the catalog has no le row with a nonzero rhs: one more row covers it
-    system = ConstraintSystem(s, polytope_system(s).conditions + (data.draw(extra_rows(box)),))
-    assert system.violations(box) == fraction_violations(system.conditions, box)
 
 
 def test_linear_condition_refuses_a_relation_it_cannot_evaluate():
-    # any relation but "eq" used to read as <= in violations, and eq_rows dropped it
+    # any relation but "eq" would read as <= in validation, and ns_program would drop it
     for relation in ("ge", "lt", "EQ", "", None):
         with pytest.raises(ValueError, match="relation must be 'eq' or 'le', got "):
             LinearCondition(((0, 1),), 1, relation, "P(0) >= 1")
@@ -402,7 +402,7 @@ def test_validation_labels_every_kind_of_violation():
     table[s.coord_index(0, 1, 0, 0)] -= F(1, 2)  # negative and signaling, normalized
     box = JointBox(s, tuple(table))
     report = is_valid_box(box)
-    assert report.violations == tuple(fraction_violations(polytope_system(s).conditions, box))
+    assert report.violations == tuple(fraction_violations(polytope_system(s), box))
     assert report.violations[:3] == ("positivity: P(a=1, b=1 | x=0, y=1) >= 0",
                                      "positivity: P(a=3, b=1 | x=1, y=0) >= 0",
                                      "normalization: block (x=1, y=0) sums to 1")
@@ -411,20 +411,19 @@ def test_validation_labels_every_kind_of_violation():
 
 
 # ---------------------------------------------------------------------------
-# the polytope system is built once per scenario and shared
+# the polytope catalog is built once per scenario and shared
 
 
 def test_polytope_system_is_shared_and_left_unchanged():
     s = Scenario.symmetric(4)
     system = polytope_system(s)
+    assert type(system) is tuple and all(type(c) is LinearCondition for c in system)
     assert polytope_system(Scenario.symmetric(4)) is system
-    conditions, rows = system.conditions, len(system.eq_rows())
-    assert system.eq_rows() is not system.eq_rows()  # ns_program appends to its copy
+    rows = sum(c.relation == "eq" for c in system)
     for kind, p in (("conventional", 0), ("relaxed", 0), ("relaxed", F(1, 3))):
         program = ns_program(build_argument(kind, s, p)[0])
         assert len(program.eq_constraints) == rows + (3 if p == 0 else 2)
         assert polytope_system(s) is system
-        assert system.conditions is conditions and len(system.eq_rows()) == rows
 
 
 def test_block_rows_are_the_table_read_by_prob():

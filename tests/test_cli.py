@@ -122,6 +122,26 @@ def test_optimize_usage_errors(capsys):
     assert "error" in err
 
 
+# strings outside the "num/den" (or integer) form: Fraction would compute
+# 10**100000000 for the last one before answering
+NOT_RATIONAL_TEXT = ["1e-3", "0.5", "1_000", "1e-100000000"]
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL_TEXT)
+def test_rational_strings_outside_num_den_are_refused(capsys, tmp_path, text):
+    with pytest.raises(SystemExit) as info:
+        main(["optimize", "--kind", "relaxed", "--dims", "2,2,2,2", "--p", text])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --p: bad --p {text!r}: not a rational: {text!r}\n")
+    path = Path(write_pr(tmp_path))
+    data = json.loads(path.read_text())
+    data["table"][0]["p"] = text
+    path.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(path), "--kind", "relaxed") == (
+        1, "", f"error: box JSON: table entry 0: not a rational: {text!r}\n")
+
+
 def test_optimize_lhv_over_strategy_budget_exits_2(capsys, monkeypatch):
     def enumeration_started(scenario):
         raise AssertionError("the oversized enumeration started")
@@ -518,13 +538,16 @@ def test_one_box_validation_per_command(capsys, tmp_path, monkeypatch, command):
 
 def test_search_reads_blocks_not_coordinates(capsys, tmp_path, monkeypatch):
     # the relabeling search reads whole blocks as slices of the table; no
-    # coordinate it reads goes through Scenario.coord_index
+    # coordinate it reads goes through Scenario.coord_index, only the offset
+    # that JointBox.block looks up once per block
     path = write_relabeled_vertex(tmp_path, 5)
     from_search = []
     coord_index = Scenario.coord_index
 
     def counted(self, *args):
         frame = sys._getframe(1)
+        if frame.f_code is JointBox.block.__code__:
+            return coord_index(self, *args)
         while frame is not None and frame.f_globals.get("__name__") != "nsbox.hardy":
             frame = frame.f_back
         if frame is not None:
@@ -769,15 +792,14 @@ def test_option_census():
 # module's __all__, sorted: adding or removing a public name must change
 # this table
 NSBOX_NAMES = [
-    "ArgumentEvents", "ArgumentNotSatisfied", "ConstraintSystem", "HARDY_QUANTUM_OPTIMUM",
+    "ArgumentEvents", "ArgumentNotSatisfied", "HARDY_QUANTUM_OPTIMUM",
     "HardyArgument", "INPUT_PAIRS", "JointBox", "KIND_CONVENTIONAL", "KIND_RELAXED",
     "LinearCondition", "LinearProgram", "LocalLabel", "LpResult", "LpStatus", "LpValidationError",
     "MAX_LHV_STRATEGIES", "MAX_PERMUTATION_FAMILY", "NonlocalLabel", "OptimizationReport",
     "PnResult", "REGIME_LHV", "REGIME_NS", "Relabeling", "Scenario",
     "SearchBudgetExceeded", "ValidationReport", "argument_events", "attaining_nonlocal_vertex",
     "best_argument_with_pn", "best_satisfied_argument", "box_from_json", "box_from_json_dict",
-    "box_to_json", "box_to_json_dict", "build_argument", "build_normalization",
-    "build_nosignaling", "build_positivity", "coerce_rational", "compute_pn",
+    "box_to_json", "box_to_json_dict", "build_argument", "coerce_rational", "compute_pn",
     "convex_decomposition", "deterministic_box", "deterministic_strategies",
     "enumerate_vertices", "evaluate_pp", "exact_rank", "format_event", "format_rational",
     "is_local", "is_valid_box", "local_vertex", "max_success_lhv", "max_success_ns",
@@ -787,10 +809,10 @@ NSBOX_NAMES = [
 MODULE_ALL = {
     "rationals": ["coerce_rational", "format_rational", "parse_rational"],
     "lp": ["LinearProgram", "LpResult", "LpStatus", "LpValidationError", "exact_rank", "solve_max"],
-    "boxes": ["ConstraintSystem", "INPUT_PAIRS", "JointBox", "LinearCondition",
+    "boxes": ["INPUT_PAIRS", "JointBox", "LinearCondition",
               "Scenario", "ValidationReport", "box_from_json", "box_from_json_dict", "box_to_json",
-              "box_to_json_dict", "build_normalization", "build_nosignaling", "build_positivity",
-              "is_valid_box", "polytope_dimension", "polytope_system", "uniform_box"],
+              "box_to_json_dict", "is_valid_box", "polytope_dimension", "polytope_system",
+              "uniform_box"],
     "vertices": ["LocalLabel", "NonlocalLabel", "convex_decomposition", "deterministic_box",
                  "deterministic_strategies", "enumerate_vertices", "is_local",
                  "local_vertex", "nonlocal_vertex"],
@@ -808,9 +830,6 @@ MODULE_ALL = {
 # methods, its constructor included), annotations aside: a new parameter
 # must change this table
 PUBLIC_SIGNATURES = {
-    'boxes.ConstraintSystem.__init__': '(self, scenario, conditions)',
-    'boxes.ConstraintSystem.eq_rows': '(self)',
-    'boxes.ConstraintSystem.violations': '(self, box)',
     'boxes.JointBox.__init__': '(self, scenario, table)',
     'boxes.JointBox.block': '(self, x, y)',
     'boxes.JointBox.from_function': '(cls, scenario, prob)',
@@ -827,9 +846,6 @@ PUBLIC_SIGNATURES = {
     'boxes.box_from_json_dict': '(data)',
     'boxes.box_to_json': '(box)',
     'boxes.box_to_json_dict': '(box)',
-    'boxes.build_normalization': '(scenario)',
-    'boxes.build_nosignaling': '(scenario)',
-    'boxes.build_positivity': '(scenario)',
     'boxes.is_valid_box': '(box)',
     'boxes.polytope_dimension': '(scenario)',
     'boxes.polytope_system': '(scenario)',

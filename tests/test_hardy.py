@@ -38,7 +38,6 @@ from nsbox import (
     best_argument_with_pn,
     best_satisfied_argument,
     build_argument,
-    build_nosignaling,
     compute_pn,
     convex_decomposition,
     deterministic_box,
@@ -203,7 +202,7 @@ def test_input_swap_moves_designated_pair():
 def test_only_the_relaxed_third_condition_takes_the_bound(dims):
     s = Scenario.from_dims(dims)
     p = F(1, 3)
-    no_signaling_rows = len(polytope_system(s).eq_rows())
+    no_signaling_rows = sum(c.relation == "eq" for c in polytope_system(s))
     for relabeling in [Relabeling(*swaps) for swaps in SWAPS] + [swapped_relabeling(s)]:
         for kind, bound, bounds in (("relaxed", p, (0, 0, p)), ("relaxed", F(0), (0, 0, 0)),
                                     ("conventional", F(0), (0, 0, 0))):
@@ -309,7 +308,7 @@ def test_relabeled_argument_has_same_optimum():
 def with_negated_nosignaling_rows(lp: LinearProgram, scenario: Scenario) -> LinearProgram:
     """lp with each no-signaling row followed by its negation: the layout of
     the earlier catalog, which stated every equality in both orientations."""
-    ns_rows = {c.coeffs for c in build_nosignaling(scenario).conditions}
+    ns_rows = {c.coeffs for c in polytope_system(scenario) if c.label.startswith("no-signaling:")}
     eq = []
     for row, rhs in lp.eq_constraints:
         eq.append((row, rhs))
@@ -392,7 +391,8 @@ NS_PROGRAM_KINDS = (("conventional", F(0)), ("relaxed", F(0)), ("relaxed", F(1, 
 @pytest.mark.parametrize("dims", NS_PROGRAM_DIMS, ids=lambda dims: "x".join(map(str, dims)))
 def test_ns_program_has_no_repeated_or_negated_equality_row(dims):
     s = Scenario.from_dims(dims)
-    assert len(build_nosignaling(s).conditions) == sum(s.dims())  # one per (party, input, outcome)
+    # one no-signaling row per (party, input, outcome)
+    assert sum(c.label.startswith("no-signaling:") for c in polytope_system(s)) == sum(s.dims())
     for kind, p in NS_PROGRAM_KINDS:
         lp = ns_program(build_argument(kind, s, p)[0])
         # no equality row is a multiple of another, negative or positive

@@ -24,6 +24,8 @@ feasibility is a zero-objective ``solve_max`` returning OPTIMAL.
 import itertools
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -220,6 +222,7 @@ def test_coerce_rational_returns_a_fraction_as_it_is():
     q = F(3, 7)
     assert coerce_rational(q) is q
     assert coerce_rational(2) == 2 and coerce_rational("1/2") == F(1, 2)
+    assert [parse_rational(text) for text in ("-1/9", "+1/2", " 3/4 ")] == [F(-1, 9), F(1, 2), F(3, 4)]
     with pytest.raises(ValueError, match="float"):
         coerce_rational(0.5)
     with pytest.raises(ValueError, match="not a rational"):
@@ -227,6 +230,19 @@ def test_coerce_rational_returns_a_fraction_as_it_is():
     # parse_rational reads text only, so an int is refused, not coerced
     with pytest.raises(ValueError, match="^expected a rational string, got 3$"):
         parse_rational(3)
+
+
+# strings outside the "num/den" (or integer) form; for the exponent rows
+# Fraction would compute 10**exp, minutes of work for the last one
+NOT_RATIONAL_TEXT = ["1e-3", "0.5", "1_000", "1e-100000000"]
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL_TEXT)
+def test_parse_rational_takes_only_num_den(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^not a rational: {re.escape(repr(text))}$"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 1  # refused before Fraction reads it
 
 
 def test_bools_are_not_rationals():
