@@ -464,13 +464,14 @@ def _check_search_budget(scenario: Scenario, exhaustive: bool) -> None:
 @cache
 def _prefix_trie(family) -> dict:
     """The family's members as nested {outcome: child} dicts, one level per
-    rank, children in increasing outcome order. A child is a subtrie while
-    two or more members share its prefix, else the index of the one member
-    that has it; the search reads that member's remaining ranks from the
-    family. So the 2n shifts and reversals of n > 2 outcomes, which part
-    after rank 1, take n + 1 dicts, not one per rank of each member. Built
-    once per family and shared, so it is never written to after it is
-    built."""
+    rank, children in increasing outcome order, for the search of a
+    positive-bound condition (a zero bound needs no trie). A child is a
+    subtrie while two or more members share its prefix, else the index of
+    the one member that has it; the search reads that member's remaining
+    ranks from the family. So the 2n shifts and reversals of n > 2
+    outcomes, which part after rank 1, take n + 1 dicts, not one per rank
+    of each member. Built once per family and shared, so it is never
+    written to after it is built."""
     root: dict = {}
     stack = [(root, 0, sorted(range(len(family)), key=family.__getitem__))]
     while stack:
@@ -485,65 +486,109 @@ def _prefix_trie(family) -> dict:
     return root
 
 
+def _clash_relation(rows, coupled, left, right) -> dict:
+    """_relation at bound 0, as set algebra over the right family.
+
+    For each left rank r the template couples, clash[r][a] is the bitset
+    of right members that put a positive cell of row a at one of r's
+    coupled ranks: none for a row with no positive cell, every member for a
+    row positive at every outcome, and otherwise the OR, over the row's
+    positive outcomes b, of the members holding b at one of those ranks.
+    b's rank is found once per member, and only for the outcomes such a row
+    needs; a member holds b at one rank, so the members per rank are
+    disjoint and a run of ranks is a difference of prefix sums. Left member
+    i pairs with the members outside the OR of clash[r][left[i][r]] over r,
+    which stops once it is full.
+    """
+    n_outcomes = len(right[0])
+    full = (1 << len(right)) - 1
+    runs = []  # per coupled rank, its ranks as half-open runs [start, stop)
+    for _r, ranks in coupled:
+        spans = []
+        for t in sorted(ranks):
+            if spans and spans[-1][1] == t:
+                spans[-1][1] = t + 1
+            else:
+                spans.append([t, t + 1])
+        runs.append(spans)
+    positive = [[b for b, q in enumerate(row) if q] for row in rows]
+    clash = [(r, [full if len(cells) == n_outcomes else 0 for cells in positive])
+             for r, _ranks in coupled]
+    rows_at: dict[int, list[int]] = {}  # b: the rows, neither empty nor full, positive at b
+    for a, cells in enumerate(positive):
+        if len(cells) < n_outcomes:
+            for b in cells:
+                rows_at.setdefault(b, []).append(a)
+    for b, rows_b in rows_at.items():
+        at_rank = [0] * n_outcomes
+        for j, pb in enumerate(right):
+            at_rank[pb.index(b)] |= 1 << j
+        below = list(itertools.accumulate(at_rank, initial=0))
+        for (_r, masks), spans in zip(clash, runs):
+            held = sum(below[stop] - below[start] for start, stop in spans)
+            for a in rows_b:
+                masks[a] |= held
+    rel: dict[int, int] = {}
+    for i, pa in enumerate(left):
+        hit = 0
+        for r, masks in clash:
+            hit |= masks[pa[r]]
+            if hit == full:
+                break
+        else:
+            rel[i] = full ^ hit
+    return rel
+
+
 def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> dict:
     """{left index: bitset of right indices} of the permutation pairs whose
     relabeled template carries at most bound on the block (no mass at all
-    when bound is 0); left indices without such a pair are left out.
+    when bound is 0); left indices without such a pair are left out, and
+    rows come in ascending left order.
 
-    Outcome b at right rank t costs the mass of the block's cells (a, b)
-    whose left outcome a sits at a rank the template couples to t. Per left
-    permutation, blocked[t] is the bitset of outcomes that do not fit at
-    rank t: for bound 0 the OR of the coupled outcomes' positive-cell masks,
-    else those whose cost there alone exceeds the bound (the costs, scaled to
-    ints, are kept per rank). due[t], a suffix AND, holds the outcomes that
-    fit no rank >= t. A depth-first search along the right family's prefix
-    trie, on an explicit stack since a branch is as deep as the outcome
-    count, places at each rank the one outcome that fits no later rank when
-    there is one (two such kill the branch), else any that fits, with an int
-    running total under a positive bound; a trie child that is one member
-    has its remaining ranks checked in a loop. Left permutations with equal
-    blocked (and costs) share one search.
+    A zero bound is set algebra over the right family (_clash_relation).
+    A positive bound is searched: outcome b at right rank t costs the mass
+    of the block's cells (a, b) whose left outcome a sits at a rank the
+    template couples to t. Per left permutation, the costs, scaled to ints,
+    are kept per rank, and blocked[t] is the bitset of outcomes whose cost
+    at t alone exceeds the bound. due[t], a suffix AND, holds the outcomes
+    that fit no rank >= t. A depth-first search along the right family's
+    prefix trie, on an explicit stack since a branch is as deep as the
+    outcome count, places at each rank the one outcome that fits no later
+    rank when there is one (two such kill the branch), else any that fits,
+    with an int running total; a trie child that is one member has its
+    remaining ranks checked in a loop. Left permutations with equal costs
+    share one search.
     """
     rows = box.block(*block)
-    n_right = len(right[0])
-    full = (1 << n_right) - 1
     right_ranks = [[] for _ in left[0]]  # right_ranks[r]: the ranks t of template cells (r, t)
     for r, t in template:
         right_ranks[r].append(t)
     coupled = [(r, ranks) for r, ranks in enumerate(right_ranks) if ranks]
-    bounded = bound > 0
-    if bounded:
-        scale = math.lcm(bound.denominator, *(q.denominator for row in rows for q in row))
-        limit = bound.numerator * (scale // bound.denominator)
-        weights = [[(b, q.numerator * (scale // q.denominator)) for b, q in enumerate(row) if q]
-                   for row in rows]
-    else:
-        positive = [sum(1 << b for b, q in enumerate(row) if q) for row in rows]
+    if not bound:
+        return _clash_relation(rows, coupled, left, right)
+    n_right = len(right[0])
+    full = (1 << n_right) - 1
+    scale = math.lcm(bound.denominator, *(q.denominator for row in rows for q in row))
+    limit = bound.numerator * (scale // bound.denominator)
+    weights = [[(b, q.numerator * (scale // q.denominator)) for b, q in enumerate(row) if q]
+               for row in rows]
     trie = _prefix_trie(right)
 
     shared: dict = {}
     rel: dict[int, int] = {}
     for ia, pa in enumerate(left):
-        if bounded:
-            costs = [{} for _ in range(n_right)]  # costs[t]: {outcome: its positive cost at t}
-            for r, ranks in coupled:
-                for t in ranks:
-                    cost = costs[t]
-                    for b, w in weights[pa[r]]:
-                        cost[b] = cost.get(b, 0) + w
-            blocked = [sum(1 << b for b, c in cost.items() if c > limit) for cost in costs]
-            key = tuple(tuple(sorted(cost.items())) for cost in costs)
-        else:
-            blocked = [0] * n_right
-            for r, ranks in coupled:
-                mask = positive[pa[r]]
-                if mask:
-                    for t in ranks:
-                        blocked[t] |= mask
-            key = tuple(blocked)
+        costs = [{} for _ in range(n_right)]  # costs[t]: {outcome: its positive cost at t}
+        for r, ranks in coupled:
+            for t in ranks:
+                cost = costs[t]
+                for b, w in weights[pa[r]]:
+                    cost[b] = cost.get(b, 0) + w
+        key = tuple(tuple(sorted(cost.items())) for cost in costs)
         hits = shared.get(key)
         if hits is None:
             hits = 0
+            blocked = [sum(1 << b for b, c in cost.items() if c > limit) for cost in costs]
             due = [full] * (n_right + 1)  # due[t]: the outcomes that fit no rank >= t
             for t in range(n_right - 1, -1, -1):
                 due[t] = due[t + 1] & blocked[t]
@@ -563,11 +608,9 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
                     child = node.get(b)
                     if child is None:
                         continue
-                    child_total = total
-                    if bounded:
-                        child_total += costs[t].get(b, 0)
-                        if child_total > limit:
-                            continue
+                    child_total = total + costs[t].get(b, 0)
+                    if child_total > limit:
+                        continue
                     if type(child) is not int:
                         stack.append((t + 1, child, unplaced ^ low, child_total))
                         continue
@@ -575,10 +618,9 @@ def _relation(box: JointBox, block, template, left, right, bound: Fraction) -> d
                     for s in range(t + 1, n_right):
                         if blocked[s] >> perm[s] & 1:
                             break
-                        if bounded:
-                            child_total += costs[s].get(perm[s], 0)
-                            if child_total > limit:
-                                break
+                        child_total += costs[s].get(perm[s], 0)
+                        if child_total > limit:
+                            break
                     else:
                         hits |= 1 << child
             shared[key] = hits
@@ -789,11 +831,13 @@ def compute_pn(box: JointBox, base: HardyArgument, exhaustive_perms: bool = Fals
     default; exhaustive_perms widens it to every outcome permutation, and
     raises SearchBudgetExceeded before searching when some outcome count has
     more than MAX_PERMUTATION_FAMILY permutations (more than 7 outcomes).
-    The search prunes on the box's positive cells, so its cost follows the
-    satisfied relabelings, not the (n!)^2 permutation pairs; its relations
-    are bitsets and its join takes only the chains with positive success
-    mass (and the first satisfied one), so a box whose satisfied chains all
-    have zero mass costs no more than its relations.
+    The search never lists the (n!)^2 permutation pairs: a zero-bound
+    condition's relation is set algebra over the right family's bitsets,
+    and only the positive-bound condition is searched rank by rank, pruned
+    on the box's positive cells. Its relations are bitsets and its join
+    takes only the chains with positive success mass (and the first
+    satisfied one), so a box whose satisfied chains all have zero mass
+    costs no more than its relations.
     """
     base_pp = evaluate_pp(box, base)
     return _pn_of(box, base, base_pp, *_success_candidates(box, base, exhaustive_perms))

@@ -581,13 +581,24 @@ def test_families_and_tries_are_built_once_per_outcome_count(capsys, tmp_path):
     path = write_relabeled_vertex(tmp_path, 4)
     for _ in range(2):
         assert run(capsys, "pn", path, "--kind", "relaxed", "--exhaustive-perms")[0] == 0
-    # one (4 outcomes, every permutation) family and its trie, for both commands
+    # one (4 outcomes, every permutation) family for both commands; at p = 0
+    # every condition is set algebra over the family, so no trie is built
+    assert hardy._perm_family.cache_info().misses == 1
+    assert hardy._prefix_trie.cache_info().misses == 0
+    for _ in range(2):
+        relaxed = run(capsys, "pn", path, "--kind", "relaxed", "--p", "1/3", "--exhaustive-perms")
+        assert relaxed[0] == 0
+    # the bounded condition searches that family's one trie
     assert hardy._perm_family.cache_info().misses == 1
     assert hardy._prefix_trie.cache_info().misses == 1
     vertex = tmp_path / "identity4.json"
     vertex.write_text(box_to_json(nonlocal_vertex(Scenario.symmetric(4), (3, 3, 1))))
     assert run(capsys, "pn", str(vertex), "--kind", "relaxed")[0] == 0
     assert hardy._perm_family.cache_info().misses == 2  # shifts and reversals of 4
+    assert hardy._prefix_trie.cache_info().misses == 1
+    for _ in range(2):
+        assert run(capsys, "pn", str(vertex), "--kind", "relaxed", "--p", "1/3")[0] == 0
+    assert hardy._perm_family.cache_info().misses == 2
     assert hardy._prefix_trie.cache_info().misses == 2
 
 

@@ -847,11 +847,12 @@ def test_shift_and_reversal_family_matches_the_deduplicated_construction():
 
 
 def test_relation_search_depth_is_not_bounded_by_the_recursion_limit():
-    # a branch of the search is as deep as Bob's outcome count (120 here);
-    # one call frame per level would exceed the lowered limit
-    s = Scenario.from_dims([2, 2, 120, 2])
+    # a branch of the search is as deep as the right party's outcome count:
+    # with p > 0 the bounded (0, 1) condition is searched over Bob's input 1,
+    # 120 ranks deep; one call frame per level would exceed the lowered limit
+    s = Scenario.from_dims([2, 2, 2, 120])
     box = deterministic_box(s, (0, 0), (0, 0))
-    expected = best_argument_with_pn(box, "relaxed")
+    expected = best_argument_with_pn(box, "relaxed", F(1, 3))
     assert expected is not None
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -859,7 +860,7 @@ def test_relation_search_depth_is_not_bounded_by_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)
     try:
-        got = best_argument_with_pn(box, "relaxed")
+        got = best_argument_with_pn(box, "relaxed", F(1, 3))
     finally:
         sys.setrecursionlimit(limit)
     assert got == expected
@@ -872,19 +873,22 @@ def trie_dicts(node):
 def test_shift_and_reversal_search_memory_is_linear_in_family_times_n():
     # the 2n shifts and reversals of n outcomes part after rank 1, so a trie
     # with one dict per rank of each member held about 2n^2 dicts (154 MB at
-    # n = 600); the trie stops where a prefix has one member
+    # n = 600); the trie stops where a prefix has one member. The uniform box
+    # is positive at every cell, so a table per (rank, outcome) over the
+    # family would be built in full there
     n = 600
-    box = deterministic_box(Scenario.from_dims([2, 2, n, 2]), (0, 0), (0, 0))
-    hardy._perm_family.cache_clear()
-    hardy._prefix_trie.cache_clear()
-    tracemalloc.start()
-    try:
-        found = best_argument_with_pn(box, "relaxed")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert found is not None and found[2].pn == 0
-    assert peak < 16 * 2**20, peak  # the family itself is 2n tuples of n outcomes
+    s = Scenario.from_dims([2, 2, n, 2])
+    for box, pn in ((deterministic_box(s, (0, 0), (0, 0)), 0), (uniform_box(s), None)):
+        hardy._perm_family.cache_clear()
+        hardy._prefix_trie.cache_clear()
+        tracemalloc.start()
+        try:
+            found = best_argument_with_pn(box, "relaxed")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (None if found is None else found[2].pn) == pn
+        assert peak < 16 * 2**20, peak  # the family itself is 2n tuples of n outcomes
     assert trie_dicts(hardy._prefix_trie(hardy._perm_family(n, False))) == n + 1
     assert trie_dicts(hardy._prefix_trie(hardy._perm_family(5, True))) == 1 + 5 + 20 + 60
     hardy._perm_family.cache_clear()
@@ -925,6 +929,43 @@ def full_enumeration_relation(box, block, template, left, right, bound):
         if hits:
             rel[ia] = hits
     return rel
+
+
+ROW_SHAPES = ("empty", "one cell", "more than half", "full")
+
+
+@st.composite
+def relation_cases(draw):
+    """A block on pair (0, 0) of a (left, 2, right, 2) scenario, its rows
+    empty, one positive cell, more than half positive (one cell when there
+    are only two outcomes) or full, masses in twelfths; a template of random
+    rank cells; a family of each kind per side; bound 0 or 1/3."""
+    n_left, n_right = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    rows = []
+    for _ in range(n_left):
+        shape = draw(st.sampled_from(ROW_SHAPES))
+        count = {"empty": 0, "one cell": 1, "full": n_right}.get(shape)
+        if count is None:
+            count = draw(st.integers(min(n_right // 2 + 1, n_right - 1), n_right - 1))
+        cells = draw(st.permutations(range(n_right)))[:count]
+        rows.append({b: F(draw(st.integers(1, 4)), 12) for b in cells})
+    s = Scenario.from_dims([n_left, 2, n_right, 2])
+    box = JointBox.from_function(
+        s, lambda x, y, a, b: rows[a].get(b, F(0)) if (x, y) == (0, 0) else F(0))
+    template = tuple(sorted(draw(st.sets(st.tuples(st.integers(0, n_left - 1),
+                                                   st.integers(0, n_right - 1)), max_size=6))))
+    left = hardy._perm_family(n_left, draw(st.booleans()))
+    right = hardy._perm_family(n_right, draw(st.booleans()))
+    return box, template, left, right, draw(st.sampled_from((F(0), F(1, 3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_cases())
+def test_relation_matches_full_enumeration(case):
+    box, template, left, right, bound = case
+    got = hardy._relation(box, (0, 0), template, left, right, bound)
+    assert got == full_enumeration_relation(box, (0, 0), template, left, right, bound)
+    assert list(got) == sorted(got)  # rows in ascending left order
 
 
 def relabeled(box, alice_perms, bob_perms):
